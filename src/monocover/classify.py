@@ -26,7 +26,6 @@ from .graph import (
     ColoredGraph,
     CoverComponent,
     _mask_diameter,
-    _mask_eccentricity,
     bits,
     mask_of,
     vertex_set,

@@ -259,6 +259,10 @@ def _cmd_search(args) -> int:
     host = _load_graph(args.host)
     predicate = _parse_predicate(args.predicate)
     if isinstance(predicate, tuple):
+        if args.mode != "exhaustive":
+            raise ValueError(
+                f"min-cover-distribution supports only exhaustive mode, not --mode {args.mode}"
+            )
         _hist, report = min_cover_distribution(
             host, args.colors, predicate[1], budget=args.budget, jobs=args.jobs
         )

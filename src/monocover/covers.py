@@ -19,6 +19,7 @@ from .graph import (
     CoverCertificate,
     CoverComponent,
     LimitExceeded,
+    _complement_triangle,
     _mask_diameter,
     _max_clique,
     bits,
@@ -236,11 +237,15 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     Dispatch: a bipartite complement yields two spanning cliques; otherwise a
     shortest odd antihole supplies a nonadjacent pair with a homogeneous
     witness, and the pair-partition case analysis takes over.
+
+    The precondition is checked without computing alpha: G has a non-edge
+    (alpha >= 2) and its complement has no triangle (alpha <= 2).
     """
     if G.r != 2:
         raise ValueError(f"cover_alpha2 requires r=2, got {G.r}")
-    alpha, _ = independence_number(G)
-    if alpha != 2:
+    comp = G.complement_rows()
+    if not any(comp) or _complement_triangle(comp) is not None:
+        alpha, _ = independence_number(G)
         raise ValueError(f"cover_alpha2 requires independence number exactly 2, got {alpha}")
     log: list[str] = []
 
@@ -639,22 +644,27 @@ def _near_split_small(G, s, c1, c2, k1_m, k2_m, log):
 def cover_general(G: ColoredGraph) -> CoverCertificate:
     """Cover any 2-colored graph by at most floor(3*alpha/2) monochromatic
     components of diameter at most 4 each, alpha being the exact
-    independence number."""
+    independence number.
+
+    Alpha and its witness set are computed once for G and once for each
+    residual graph of the pair peel, and passed down with the graph; the
+    alpha = 2 case checks its own precondition without recomputing alpha.
+    """
     if G.r != 2:
         raise ValueError(f"cover_general requires r=2, got {G.r}")
-    cert = _cover_general_inner(G)
+    alpha, iset = independence_number(G)
+    cert = _cover_general_inner(G, alpha, iset)
     _assert_verified(G, cert, "general")
-    alpha, _ = independence_number(G)
     limit = 3 * alpha // 2
     if G.n > 0 and len(cert.components) > limit:
         raise ProofAssertionError("general", f"{len(cert.components)} components exceed limit {limit}")
     return cert
 
 
-def _cover_general_inner(G: ColoredGraph) -> CoverCertificate:
+def _cover_general_inner(G: ColoredGraph, alpha: int, iset: frozenset[int]) -> CoverCertificate:
+    """Cover of G given its independence number and a maximum independent set."""
     if G.n == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",))
-    alpha, iset = independence_number(G)
     if alpha == 1:
         c, d = _spanning_mono_within(G, G.full_mask)
         comp = CoverComponent(c, frozenset(G.vertices()), d)
@@ -701,10 +711,10 @@ def _cover_general_peel(G, alpha, x, y, c, witness) -> CoverCertificate:
     rest = G.full_mask & ~neighborhood
     if rest:
         sub, labels = induced_subgraph(G, vertex_set(rest))
-        sub_alpha, _ = independence_number(sub)
+        sub_alpha, sub_iset = independence_number(sub)
         if sub_alpha > alpha - 2:
             raise ProofAssertionError(branch, f"residual independence {sub_alpha} > {alpha - 2}")
-        sub_cert = _cover_general_inner(sub)
+        sub_cert = _cover_general_inner(sub, sub_alpha, sub_iset)
         for comp in sub_cert.components:
             comps.append(
                 CoverComponent(comp.color, frozenset(labels[i] for i in comp.vertices), comp.bound)

@@ -48,8 +48,6 @@ class _Unreachable:
 
 UNREACHABLE = _Unreachable()
 
-Distance = "int | _Unreachable"
-
 
 class LimitExceeded(RuntimeError):
     """Instance size beyond the configured bound for an exact computation."""
@@ -425,6 +423,20 @@ def is_complement_bipartite(G: ColoredGraph) -> tuple[frozenset[int], frozenset[
     return x, y
 
 
+def _complement_triangle(comp: list[int]) -> tuple[int, int, int] | None:
+    """Lexicographically first triangle (u, v, w), u < v < w, of the graph
+    with adjacency rows `comp`, or None if it is triangle-free."""
+    for u, row in enumerate(comp):
+        later = row >> (u + 1) << (u + 1)
+        while later:
+            b = later & -later
+            later ^= b
+            common = row & comp[b.bit_length() - 1]
+            if common:
+                return u, b.bit_length() - 1, (common & -common).bit_length() - 1
+    return None
+
+
 def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
     """Shortest odd induced cycle of the complement, as a cyclic vertex list.
 
@@ -433,23 +445,27 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
     listed vertices are pairwise adjacent in G except consecutive ones.
     Returns None when the complement is bipartite. A triangle in the
     complement (an independent triple of G) is an error.
+
+    The length of the shortest odd closed walk through each start vertex
+    comes from a bit-parallel BFS over the bipartite double cover, one
+    frontier mask per level, capped at the best length found so far; a
+    second, parent-tracking pass recovers the cycle through the first start
+    vertex that attains the minimum.
     """
     n = G.n
     comp = G.complement_rows()
-    for u in range(n):
-        for v in bits(comp[u]):
-            if v > u and comp[u] & comp[v]:
-                w = next(bits(comp[u] & comp[v]))
-                raise ValueError(
-                    f"complement contains triangle {{{u},{v},{w}}} (independent triple in G)"
-                )
-    # Shortest odd closed walk through each start vertex, via BFS on the
-    # bipartite double cover. The global minimum is attained by a simple
-    # cycle, and the smallest start index achieving it lies on that cycle.
+    triangle = _complement_triangle(comp)
+    if triangle is not None:
+        u, v, w = triangle
+        raise ValueError(
+            f"complement contains triangle {{{u},{v},{w}}} (independent triple in G)"
+        )
+    # The global minimum is attained by a simple cycle, and the smallest
+    # start index achieving it lies on that cycle.
     best_len: int | None = None
     best_start = -1
     for s in range(n):
-        length = _odd_walk_length(comp, n, s, best_len)
+        length = _odd_walk_length(comp, s, best_len)
         if length is not None and (best_len is None or length < best_len):
             best_len = length
             best_start = s
@@ -463,23 +479,32 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
     return cycle
 
 
-def _odd_walk_length(comp: list[int], n: int, s: int, cap: int | None) -> int | None:
-    dist = {(s, 0): 0}
-    queue = [(s, 0)]
-    head = 0
-    while head < len(queue):
-        u, par = queue[head]
-        head += 1
-        d = dist[(u, par)]
-        if cap is not None and d >= cap:
+def _odd_walk_length(comp: list[int], s: int, cap: int | None) -> int | None:
+    """Length of the shortest odd closed walk through `s`, or None when there
+    is none or it is longer than `cap`.
+
+    BFS from (s, even) in the bipartite double cover, level by level: the
+    frontier at depth d is a vertex mask of parity d % 2, and each parity
+    keeps its own seen mask.
+    """
+    start = 1 << s
+    frontier = start
+    seen = [start, 0]  # by parity of the depth
+    depth = 0
+    while frontier:
+        if cap is not None and depth >= cap:
             return None
-        for w in bits(comp[u]):
-            key = (w, par ^ 1)
-            if key not in dist:
-                dist[key] = d + 1
-                if key == (s, 1):
-                    return d + 1
-                queue.append(key)
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= comp[b.bit_length() - 1]
+        depth += 1
+        parity = depth & 1
+        if parity and nxt & start:
+            return depth
+        frontier = nxt & ~seen[parity]
+        seen[parity] |= frontier
     return None
 
 
@@ -540,6 +565,10 @@ def format_graph(G: ColoredGraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _not_integers(lineno: int, raw: str) -> ValueError:
+    return ValueError(f"line {lineno}: expected integers, got {raw!r}")
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse the graph text format: header "n r", then "u v c" lines.
 
@@ -555,11 +584,17 @@ def parse_graph(text: str) -> ColoredGraph:
         if header is None:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected header 'n r', got {raw!r}")
-            header = (int(parts[0]), int(parts[1]))
+            try:
+                header = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                raise _not_integers(lineno, raw) from None
             continue
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'u v c', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        try:
+            edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise _not_integers(lineno, raw) from None
     if header is None:
         raise ValueError("empty graph document")
     return build_graph(header[0], header[1], edges)
@@ -591,7 +626,10 @@ def parse_certificate(text: str) -> CoverCertificate:
         if count is None:
             if len(stripped.split()) != 1:
                 raise ValueError(f"line {lineno}: expected component count, got {raw!r}")
-            count = int(stripped)
+            try:
+                count = int(stripped)
+            except ValueError:
+                raise _not_integers(lineno, raw) from None
             continue
         if ":" not in stripped:
             raise ValueError(f"line {lineno}: expected 'c d: vertices', got {raw!r}")
@@ -599,8 +637,11 @@ def parse_certificate(text: str) -> CoverCertificate:
         head_parts = head.split()
         if len(head_parts) != 2:
             raise ValueError(f"line {lineno}: expected 'c d:' prefix, got {raw!r}")
-        color, bound = int(head_parts[0]), int(head_parts[1])
-        verts = frozenset(int(t) for t in tail.split())
+        try:
+            color, bound = int(head_parts[0]), int(head_parts[1])
+            verts = frozenset(int(t) for t in tail.split())
+        except ValueError:
+            raise _not_integers(lineno, raw) from None
         comps.append(CoverComponent(color, verts, bound))
     if count is None:
         raise ValueError("empty certificate document")

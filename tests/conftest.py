@@ -105,3 +105,29 @@ def dp_min_cover(G: ColoredGraph, d: int) -> int:
                     nxt.add(new)
         frontier = sorted(nxt)
     return G.n + 1
+
+
+def odd_walk_length(comp: list[int], n: int, s: int, cap: int | None) -> int | None:
+    """Reference for graph._odd_walk_length: vertex-at-a-time BFS over the
+    bipartite double cover, nodes keyed by (vertex, parity) in a dict.
+    Returns the shortest odd closed walk through s, or None when there is
+    none or a node at depth >= cap is reached first."""
+    dist = {(s, 0): 0}
+    queue = [(s, 0)]
+    head = 0
+    while head < len(queue):
+        u, par = queue[head]
+        head += 1
+        d = dist[(u, par)]
+        if cap is not None and d >= cap:
+            return None
+        for w in range(n):
+            if not comp[u] >> w & 1:
+                continue
+            key = (w, par ^ 1)
+            if key not in dist:
+                dist[key] = d + 1
+                if key == (s, 1):
+                    return d + 1
+                queue.append(key)
+    return None

@@ -204,6 +204,35 @@ def test_usage_errors(capsys, monkeypatch):
     assert invoke(capsys, monkeypatch, ["classify"], stdin_text="oops\n")[0] == 2
 
 
+def test_non_integer_token_names_its_line(tmp_path, capsys, monkeypatch):
+    code, out, err = invoke(capsys, monkeypatch, ["classify"], stdin_text="3 2\n0 1 x\n")
+    assert code == 2 and out == ""
+    assert "line 2" in err and "0 1 x" in err
+
+    combined = "3 2\n0 1 x\n---\n1\n1 1: 0 1 2\n"
+    code, _, err = invoke(capsys, monkeypatch, ["verify"], stdin_text=combined)
+    assert code == 2 and "line 2" in err
+
+    cert = tmp_path / "cert.txt"
+    cert.write_text("1\n1 x: 0 1 2\n")
+    code, _, err = invoke(
+        capsys, monkeypatch, ["verify", "--cert", str(cert)], stdin_text="3 2\n0 1 1\n1 2 1\n"
+    )
+    assert code == 2 and "line 2" in err and "1 x: 0 1 2" in err
+
+
+def test_search_distribution_rejects_sample_mode(capsys, monkeypatch):
+    code, out, err = invoke(
+        capsys,
+        monkeypatch,
+        ["search", "--colors", "2", "--predicate", "min-cover-distribution:2",
+         "--mode", "sample", "--samples", "5"],
+        stdin_text=format_graph(gen_p42(1)),
+    )
+    assert code == 2 and out == ""
+    assert "only exhaustive mode" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "monocover", "gen", "--family", "p42"],

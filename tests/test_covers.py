@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from conftest import rand_colored
+from monocover import covers
 from monocover.covers import (
     NearSplitStructure,
     ProofAssertionError,
@@ -20,6 +22,7 @@ from monocover.generators import gen_antihole, gen_matching_complement, gen_rand
 from monocover.graph import (
     LimitExceeded,
     build_graph,
+    format_certificate,
     independence_number,
     verify_cover,
 )
@@ -98,8 +101,13 @@ def test_cover_alpha2_random_instances():
 
 
 def test_cover_alpha2_rejects_alpha3():
-    with pytest.raises(ValueError, match="independence number"):
+    with pytest.raises(ValueError, match="independence number exactly 2, got 3"):
         cover_alpha2(build_graph(3, 2, []))
+    with pytest.raises(ValueError, match="exactly 2, got 3"):
+        cover_alpha2(build_graph(4, 2, [(0, 1, 1)]))  # {1, 2, 3} is independent
+    K4 = build_graph(4, 2, [(u, v, 1 + (u + v) % 2) for u in range(4) for v in range(u + 1, 4)])
+    with pytest.raises(ValueError, match="exactly 2, got 1"):
+        cover_alpha2(K4)
 
 
 def test_cover_alpha2_logs_choices():
@@ -205,6 +213,48 @@ def test_cover_general_matches_alpha2_path():
         assert_good_cover(G, cert, 3, 4)
 
 
+def _count_alpha_calls(monkeypatch, G):
+    """cover_general(G), counting independence_number calls and the graphs
+    _cover_general_inner handles."""
+    calls = {"alpha": 0, "inner": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(covers, "independence_number", counted("alpha", covers.independence_number))
+    monkeypatch.setattr(covers, "_cover_general_inner", counted("inner", covers._cover_general_inner))
+    cert = cover_general(G)
+    return calls, cert
+
+
+def test_cover_general_computes_alpha_once_per_graph(monkeypatch):
+    K9 = build_graph(9, 2, [(u, v, 1 + (u * v) % 2) for u in range(9) for v in range(u + 1, 9)])
+    assert _count_alpha_calls(monkeypatch, K9)[0] == {"alpha": 1, "inner": 1}
+    for seed in range(10):
+        G = gen_random_alpha2(12 + seed, 0.5, seed=60_000 + seed)
+        assert _count_alpha_calls(monkeypatch, G)[0] == {"alpha": 1, "inner": 1}
+        assert _count_alpha_calls(monkeypatch, recolor(gen_antihole(2 + seed % 4), seed))[0] == {
+            "alpha": 1, "inner": 1}
+    for seed in range(5):
+        G = rand_colored(40, 0.15, seed=80_000 + seed)
+        calls, cert = _count_alpha_calls(monkeypatch, G)
+        # each peel level that leaves a residual graph prefixes its log once more
+        levels = max(entry.count("residual: ") for entry in cert.build_log)
+        assert levels >= 1
+        assert calls == {"alpha": 1 + levels, "inner": 1 + levels}
+
+
+def test_cover_alpha2_skips_alpha_on_valid_input(monkeypatch):
+    calls = []
+    monkeypatch.setattr(covers, "independence_number", lambda G: calls.append(G))
+    for k in (2, 3, 4, 5):
+        cover_alpha2(recolor(gen_antihole(k), k))
+    assert calls == []
+
+
 # -- star covers --------------------------------------------------------------
 
 
@@ -294,3 +344,40 @@ def test_matching_complement_cover():
         G = gen_matching_complement(n)
         cert = cover_general(G)
         assert_good_cover(G, cert, 3 * independence_number(G)[0] // 2, 4)
+
+
+# -- frozen certificates --------------------------------------------------------
+
+# sha256 over the corpus below, each format_certificate output followed by a
+# NUL; taken with the earlier dict-keyed odd-walk BFS and per-call alpha
+FROZEN_CERTIFICATE_DIGEST = "0cac526f38f63869a46487de2de650fc7a4a1b52250776d97c730e4091a5a720"
+
+
+def _certificate_corpus():
+    """Seeded corpus of (method, graph) pairs covering every cover_general
+    path: the alpha = 2 dispatch through odd antiholes, the pair peel on
+    sparse graphs, and cover_near_split on recolored antiholes."""
+    for seed in range(40):
+        n = 10 + seed % 21
+        yield "general", gen_random_alpha2(n, 0.1 + 0.8 * (seed % 9) / 9, seed)
+    for k in (2, 3, 4, 5):
+        for seed in range(10):
+            G = recolor(gen_antihole(k), 70_000 + 100 * k + seed)
+            yield "general", G
+            yield "near-split", G
+    for seed in range(5):
+        yield "general", rand_colored(40, 0.15, seed=80_000 + seed)
+
+
+def test_certificates_frozen():
+    """Certificates, components and build logs alike, are byte-identical to
+    the frozen digest; a faster kernel must not change a single choice."""
+    digest = hashlib.sha256()
+    for method, G in _certificate_corpus():
+        if method == "general":
+            cert = cover_general(G)
+        else:
+            cert = cover_near_split(G, detect_near_split(G))
+        digest.update(format_certificate(cert).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == FROZEN_CERTIFICATE_DIGEST

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_alpha, complete_colored, fw_diameter, mono_edge_pairs, rand_colored
+from conftest import (
+    brute_alpha,
+    complete_colored,
+    fw_diameter,
+    mono_edge_pairs,
+    odd_walk_length,
+    rand_colored,
+)
 from monocover.graph import (
     UNREACHABLE,
     CoverCertificate,
@@ -23,7 +30,7 @@ from monocover.graph import (
     parse_graph,
     verify_cover,
 )
-from monocover.graph import _max_clique, _mask_diameter
+from monocover.graph import _complement_triangle, _mask_diameter, _max_clique, _odd_walk_length
 
 
 def test_build_graph_basic():
@@ -175,6 +182,32 @@ def test_find_odd_antihole_structure():
 
     two_cliques = build_graph(4, 2, [(0, 1, 1), (2, 3, 1)])
     assert find_odd_antihole(two_cliques) is None
+
+
+def test_odd_walk_length_matches_reference():
+    """The bit-parallel double-cover BFS gives the reference's length for
+    every start vertex, uncapped and under every cap up to n + 2."""
+    for seed in range(120):
+        n = 1 + seed % 14
+        G = rand_colored(n, 0.1 + 0.8 * (seed % 7) / 7, seed=21_000 + seed)
+        for rows in (G.adj_rows, G.complement_rows()):
+            for s in range(n):
+                for cap in [None, *range(n + 3)]:
+                    assert _odd_walk_length(rows, s, cap) == odd_walk_length(rows, n, s, cap), (
+                        seed, s, cap)
+
+
+def test_complement_triangle_is_first_independent_triple():
+    for seed in range(200):
+        n = seed % 9
+        G = rand_colored(n, 0.2 + 0.7 * (seed % 5) / 5, seed=23_000 + seed)
+        triples = [
+            t for t in itertools.combinations(range(n), 3)
+            if not any(G.has_edge(u, v) for u, v in itertools.combinations(t, 2))
+        ]
+        assert _complement_triangle(G.complement_rows()) == (triples[0] if triples else None)
+    with pytest.raises(ValueError, match=r"triangle \{0,1,2\}"):
+        find_odd_antihole(build_graph(3, 2, []))
 
 
 def test_induced_subgraph_relabels():
