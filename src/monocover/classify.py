@@ -27,7 +27,6 @@ from .graph import (
     CoverComponent,
     _mask_diameter,
     bits,
-    mask_of,
     vertex_set,
 )
 

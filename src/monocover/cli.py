@@ -350,7 +350,6 @@ def _build_parser() -> _Parser:
     oracle.add_argument("--in", help="graph file (default: stdin)")
     oracle.add_argument("--out", help="certificate output file")
     oracle.add_argument("--max-n", type=int, default=18, help="exact-solver size limit")
-    oracle.add_argument("--jobs", type=int, default=1, help="accepted for interface symmetry; the exact solver is single-threaded")
     oracle.set_defaults(func=_cmd_oracle)
 
     search = sub.add_parser("search", help="evaluate a predicate over the colorings of a host graph")

@@ -1,24 +1,26 @@
 """Constructive covers of 2-colored graphs by monochromatic components of
 bounded diameter.
 
-Every cover operation returns a CoverCertificate whose per-component bounds
-are the diameters actually achieved (verified on the way out), together with
-a build log recording which branch fired and which color/role swaps were
-applied. Proof-guaranteed properties are re-checked at runtime and raise
-ProofAssertionError when violated, since that can only mean a bug here.
+Every cover operation returns a CoverCertificate built by _certificate, the
+single check: each component's diameter is measured once, there, and becomes
+its bound; a component over the construction's limit or a vertex left
+uncovered raises ProofAssertionError naming the branch, since that can only
+mean a bug here. The build log records which branch fired and which
+color/role swaps were applied, and the case analyses check the other
+proof-guaranteed properties they rely on the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .classify import DiamPattern, _classify_within, _spanning_mono_within
 from .graph import (
-    UNREACHABLE,
     ColoredGraph,
     CoverCertificate,
     CoverComponent,
     LimitExceeded,
+    _complement_sides,
     _complement_triangle,
     _mask_diameter,
     _max_clique,
@@ -28,7 +30,6 @@ from .graph import (
     is_complement_bipartite,
     find_odd_antihole,
     mask_of,
-    verify_cover,
     vertex_set,
 )
 
@@ -51,27 +52,34 @@ def _is_complete_mask(G: ColoredGraph, mask: int) -> bool:
     return True
 
 
-def _build_components(G, pieces, branch, expect_mask=None):
-    """Turn (color, vertex mask, diameter limit) pieces into verified
-    components; empty prescribed pieces are dropped."""
-    expect = G.full_mask if expect_mask is None else expect_mask
+def _certificate(G, pieces, log, branch, residual=()) -> CoverCertificate:
+    """The certificate of (color, vertex mask, proof limit) pieces, followed
+    by the `residual` components, which were checked where they were built.
+
+    Each nonempty piece is measured once and its diameter becomes its bound;
+    empty pieces are dropped. Raises ProofAssertionError naming the branch
+    if a piece is disconnected or over its limit, or if the pieces and the
+    residual leave a vertex of G uncovered.
+    """
     comps = []
     covered = 0
     for color, m, limit in pieces:
         if not m:
             continue
         d = _mask_diameter(G.color_rows[color - 1], m)
-        if d is UNREACHABLE or d > limit:
+        if d > limit:
             raise ProofAssertionError(
                 branch,
                 f"color-{color} component {sorted(vertex_set(m))} has diameter {d}, limit {limit}",
             )
         comps.append(CoverComponent(color, vertex_set(m), d))
         covered |= m
-    if covered != expect:
-        missing = sorted(vertex_set(expect & ~covered))
+    for comp in residual:
+        covered |= comp.mask()
+    if covered != G.full_mask:
+        missing = sorted(vertex_set(G.full_mask & ~covered))
         raise ProofAssertionError(branch, f"pieces miss vertices {missing}")
-    return comps
+    return CoverCertificate((*comps, *residual), tuple(log))
 
 
 # -- pair partition --------------------------------------------------------
@@ -109,6 +117,18 @@ class PairPartition:
     def common(self) -> frozenset[int]:
         return self.a11 | self.a22 | self.a12 | self.a21
 
+    def swap_colors(self) -> PairPartition:
+        """The same split with colors 1 and 2 renamed into each other."""
+        return PairPartition(
+            self.x, self.y, self.a22, self.a11, self.a21, self.a12, self.ax2, self.ax1, self.ay2, self.ay1
+        )
+
+    def swap_roles(self) -> PairPartition:
+        """The same split seen from (y, x): x and y trade places."""
+        return PairPartition(
+            self.y, self.x, self.a11, self.a22, self.a21, self.a12, self.ay1, self.ay2, self.ax1, self.ax2
+        )
+
 
 def pair_partition(G: ColoredGraph, x: int, y: int) -> PairPartition:
     """Split all other vertices by their adjacency pattern to the nonadjacent
@@ -143,90 +163,6 @@ def pair_partition(G: ColoredGraph, x: int, y: int) -> PairPartition:
     return part
 
 
-@dataclass(frozen=True)
-class _View:
-    """Color/role-relabeled window onto a PairPartition.
-
-    ``red`` names the original color currently playing color 1; when
-    ``roles_swapped`` the x and y ends trade places. All accessors answer in
-    view coordinates while returning original vertex names, so certificates
-    need no mapping back.
-    """
-
-    part: PairPartition
-    red: int = 1
-    roles_swapped: bool = False
-
-    @property
-    def blue(self) -> int:
-        return 3 - self.red
-
-    @property
-    def x(self) -> int:
-        return self.part.y if self.roles_swapped else self.part.x
-
-    @property
-    def y(self) -> int:
-        return self.part.x if self.roles_swapped else self.part.y
-
-    def swap_colors(self) -> "_View":
-        return replace(self, red=3 - self.red)
-
-    def swap_roles(self) -> "_View":
-        return replace(self, roles_swapped=not self.roles_swapped)
-
-    def _orig(self, c: int) -> int:
-        return c if self.red == 1 else 3 - c
-
-    def common(self, cx: int, cy: int) -> frozenset[int]:
-        ox, oy = self._orig(cx), self._orig(cy)
-        if self.roles_swapped:
-            ox, oy = oy, ox
-        table = {
-            (1, 1): self.part.a11,
-            (1, 2): self.part.a12,
-            (2, 1): self.part.a21,
-            (2, 2): self.part.a22,
-        }
-        return table[(ox, oy)]
-
-    def only_x(self, c: int) -> frozenset[int]:
-        oc = self._orig(c)
-        if self.roles_swapped:
-            return self.part.ay1 if oc == 1 else self.part.ay2
-        return self.part.ax1 if oc == 1 else self.part.ax2
-
-    def only_y(self, c: int) -> frozenset[int]:
-        oc = self._orig(c)
-        if self.roles_swapped:
-            return self.part.ax1 if oc == 1 else self.part.ax2
-        return self.part.ay1 if oc == 1 else self.part.ay2
-
-    @property
-    def a11(self) -> frozenset[int]:
-        return self.common(1, 1)
-
-    @property
-    def a22(self) -> frozenset[int]:
-        return self.common(2, 2)
-
-    @property
-    def a12(self) -> frozenset[int]:
-        return self.common(1, 2)
-
-    @property
-    def a21(self) -> frozenset[int]:
-        return self.common(2, 1)
-
-    @property
-    def kx(self) -> frozenset[int]:
-        return self.only_x(1) | self.only_x(2) | {self.x}
-
-    @property
-    def ky(self) -> frozenset[int]:
-        return self.only_y(1) | self.only_y(2) | {self.y}
-
-
 # -- the two-component cover for independence number 2 ---------------------
 
 
@@ -253,9 +189,7 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
         inner = two_clique_cover(G)
         log.append("complement is bipartite: two spanning cliques, one small-diameter color each")
         log.extend(inner.build_log)
-        cert = CoverCertificate(inner.components, tuple(log))
-        _assert_verified(G, cert, "two-cliques")
-        return cert
+        return CoverCertificate(inner.components, tuple(log))
 
     hole = find_odd_antihole(G)
     L = len(hole)
@@ -276,44 +210,41 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     )
 
     part = pair_partition(G, x, y)
-    view = _View(part)
 
     if part.a11 and part.a22:
         m1 = mask_of({x, y} | part.ax1 | part.ay1 | part.a11 | part.a12 | part.a21)
         m2 = mask_of({x, y} | part.ax2 | part.ay2 | part.a22)
         log.append("both homogeneous parts nonempty: one double-star component per color")
-        comps = _build_components(G, [(1, m1, 4), (2, m2, 4)], "both-homogeneous")
-        cert = CoverCertificate(tuple(comps), tuple(log))
-        _assert_verified(G, cert, "both-homogeneous")
-        return cert
+        return _certificate(G, [(1, m1, 4), (2, m2, 4)], log, "both-homogeneous")
 
-    if not view.a11:
-        view = view.swap_colors()
+    # From here on `part` is relabeled so that its color 1 is the original
+    # color `red` and, after a role swap, its x is the original y.
+    red, blue = 1, 2
+    if not part.a11:
+        part = part.swap_colors()
+        red, blue = 2, 1
         log.append("homogeneous part sits in color 2: colors swapped for the analysis")
-    if not view.a11 or view.a22:
+    if not part.a11 or part.a22:
         raise ProofAssertionError("homogeneous", "expected exactly one nonempty homogeneous part")
 
-    red, blue = view.red, view.blue
     red_rows = G.color_rows[red - 1]
     blue_rows = G.color_rows[blue - 1]
 
-    kx_m = mask_of(view.kx)
-    ky_m = mask_of(view.ky)
+    kx_m = mask_of(part.kx)
+    ky_m = mask_of(part.ky)
     d_red_kx = _mask_diameter(red_rows, kx_m)
     d_red_ky = _mask_diameter(red_rows, ky_m)
 
     if d_red_kx <= 3 and d_red_ky <= 3:
-        m1 = kx_m | mask_of(view.a11 | view.a12)
-        m2 = ky_m | mask_of(view.a21)
+        m1 = kx_m | mask_of(part.a11 | part.a12)
+        m2 = ky_m | mask_of(part.a21)
         log.append(f"both side cliques have color-{red} diameter <= 3: two color-{red} components")
-        comps = _build_components(G, [(red, m1, 4), (red, m2, 4)], "two-red-sides")
-        cert = CoverCertificate(tuple(comps), tuple(log))
-        _assert_verified(G, cert, "two-red-sides")
-        return cert
+        return _certificate(G, [(red, m1, 4), (red, m2, 4)], log, "two-red-sides")
 
     if d_red_ky <= 3:
-        view = view.swap_roles()
+        part = part.swap_roles()
         kx_m, ky_m = ky_m, kx_m
+        d_red_kx, d_red_ky = d_red_ky, d_red_kx
         log.append("large homogeneous-color diameter sits at the x side: x/y roles swapped")
 
     if _mask_diameter(blue_rows, ky_m) > 2:
@@ -322,28 +253,25 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     d_blue_kx = _mask_diameter(blue_rows, kx_m)
     if d_blue_kx <= 3:
         # x-side clique is usable in the second color
-        ax2_m = mask_of(view.only_x(2))
+        ax2_m = mask_of(part.ax2)
         target = ax2_m | ky_m
         bad = None
-        for z in sorted(view.a11):
+        for z in sorted(part.a11):
             if not (blue_rows[z] & target):
                 bad = z
                 break
         if bad is None:
-            a11x = {z for z in view.a11 if blue_rows[z] & ax2_m}
-            a11y = view.a11 - a11x
+            a11x = {z for z in part.a11 if blue_rows[z] & ax2_m}
+            a11y = part.a11 - a11x
             for z in a11y:
                 if not (blue_rows[z] & ky_m):
                     raise ProofAssertionError("blue-split", f"{z} sends no color-{blue} edge to either side")
-            m1 = kx_m | mask_of(a11x | view.a21)
-            m2 = ky_m | mask_of(a11y | view.a12)
+            m1 = kx_m | mask_of(a11x | part.a21)
+            m2 = ky_m | mask_of(a11y | part.a12)
             log.append(
                 f"every homogeneous vertex sends a color-{blue} edge across: two color-{blue} components"
             )
-            comps = _build_components(G, [(blue, m1, 4), (blue, m2, 4)], "blue-split")
-            cert = CoverCertificate(tuple(comps), tuple(log))
-            _assert_verified(G, cert, "blue-split")
-            return cert
+            return _certificate(G, [(blue, m1, 4), (blue, m2, 4)], log, "blue-split")
         z_rest = target & ~G.adj_rows[bad]
         if z_rest and not _is_complete_mask(G, z_rest):
             raise ProofAssertionError("triple-star", f"non-neighbors of {bad} do not form a clique")
@@ -352,9 +280,9 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
             zc, _zd = _spanning_mono_within(G, z_rest)
             pieces.append((zc, z_rest, 3))
         triple = (
-            (1 << view.x)
-            | (1 << view.y)
-            | mask_of(view.only_x(1) | view.a11 | view.a12 | view.a21)
+            (1 << part.x)
+            | (1 << part.y)
+            | mask_of(part.ax1 | part.a11 | part.a12 | part.a21)
             | red_rows[bad]
         )
         pieces.append((red, triple, 4))
@@ -362,17 +290,14 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
             f"homogeneous vertex {bad} sends only color-{red} edges across: "
             f"color-{red} triple star plus spanning clique on its non-neighbors"
         )
-        comps = _build_components(G, pieces, "triple-star")
-        cert = CoverCertificate(tuple(comps), tuple(log))
-        _assert_verified(G, cert, "triple-star")
-        return cert
+        return _certificate(G, pieces, log, "triple-star")
 
     # x-side clique has large second-color diameter, hence small first-color one
-    if _mask_diameter(red_rows, kx_m) > 2:
+    if d_red_kx > 2:
         raise ProofAssertionError("red-partition", f"x-side clique should have color-{red} diameter <= 2")
-    ystar_m = (1 << view.y) | mask_of(view.only_y(1) | view.a11 | view.a21)
-    ay2 = view.only_y(2)
-    a12_m = mask_of(view.a12)
+    ystar_m = (1 << part.y) | mask_of(part.ay1 | part.a11 | part.a21)
+    ay2 = part.ay2
+    a12_m = mask_of(part.a12)
     reach = G.full_mask & ~(mask_of(ay2) | a12_m)
     bad = None
     for z in sorted(ay2):
@@ -388,10 +313,7 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
         m1 = kx_m | a12_m | mask_of(sx)
         m2 = ystar_m | mask_of(sy)
         log.append(f"every y-only color-{blue} vertex sends color-{red} across: two color-{red} components")
-        comps = _build_components(G, [(red, m1, 4), (red, m2, 4)], "red-partition")
-        cert = CoverCertificate(tuple(comps), tuple(log))
-        _assert_verified(G, cert, "red-partition")
-        return cert
+        return _certificate(G, [(red, m1, 4), (red, m2, 4)], log, "red-partition")
     z_rest = reach & ~G.adj_rows[bad]
     if z_rest and not _is_complete_mask(G, z_rest):
         raise ProofAssertionError("blue-star-extension", f"non-neighbors of {bad} do not form a clique")
@@ -399,22 +321,13 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     if z_rest:
         zc, _zd = _spanning_mono_within(G, z_rest)
         pieces.append((zc, z_rest, 3))
-    ext = (1 << view.y) | mask_of(ay2) | a12_m | blue_rows[bad]
+    ext = (1 << part.y) | mask_of(ay2) | a12_m | blue_rows[bad]
     pieces.append((blue, ext, 3))
     log.append(
         f"y-only vertex {bad} sends only color-{blue} edges out: color-{blue} double-level star "
         f"plus spanning clique on its non-neighbors"
     )
-    comps = _build_components(G, pieces, "blue-star-extension")
-    cert = CoverCertificate(tuple(comps), tuple(log))
-    _assert_verified(G, cert, "blue-star-extension")
-    return cert
-
-
-def _assert_verified(G: ColoredGraph, cert: CoverCertificate, branch: str) -> None:
-    verdict = verify_cover(G, cert)
-    if not verdict:
-        raise ProofAssertionError(branch, f"emitted certificate fails verification: {verdict.reason}")
+    return _certificate(G, pieces, log, "blue-star-extension")
 
 
 # -- near-split structures --------------------------------------------------
@@ -474,7 +387,7 @@ def detect_near_split(G: ColoredGraph) -> NearSplitStructure | None:
         split = _two_clique_split(G, v, a, b)
         if split is None:
             continue
-        structure = NearSplitStructure(v, frozenset(split[0]), frozenset(split[1]), a, b)
+        structure = NearSplitStructure(v, *split, a, b)
         structure.validate(G)
         return structure
     return None
@@ -484,41 +397,18 @@ def _two_clique_split(G: ColoredGraph, v: int, a: int, b: int):
     """Partition V - {v} into cliques (k1, k2) with a in k1 and b in k2, or
     None. Two-colors the complement of G - v; the components holding a and b
     orient by them, any others put the side of their smallest vertex first."""
-    rest = G.full_mask & ~(1 << v)
-    side: dict[int, int] = {}
-    k1: set[int] = set()
-    k2: set[int] = set()
-    for root in bits(rest):
-        if root in side:
-            continue
-        side[root] = 0
-        members = {root}
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for w in bits((~G.adj_rows[u]) & rest & ~(1 << u)):
-                if w not in side:
-                    side[w] = side[u] ^ 1
-                    members.add(w)
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-        zero = {u for u in members if side[u] == 0}
-        one = members - zero
-        if a in members and b in members:
-            if side[a] == side[b]:
-                return None
-            first = zero if a in zero else one
-        elif a in members:
-            first = zero if a in zero else one
-        elif b in members:
-            first = one if b in zero else zero
-        else:
-            # root is the component minimum and always lands on side zero
-            first = zero
+    sides = _complement_sides(G, G.full_mask & ~(1 << v))
+    if sides is None:
+        return None
+    k1 = k2 = 0
+    for first, second in sides:
+        if first >> b & 1 or second >> a & 1:
+            first, second = second, first
+        if second >> a & 1 or first >> b & 1:
+            return None  # a and b on one side
         k1 |= first
-        k2 |= members - first
-    return k1, k2
+        k2 |= second
+    return vertex_set(k1), vertex_set(k2)
 
 
 def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate:
@@ -573,10 +463,7 @@ def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate
         )
     oc, _od = _spanning_mono_within(G, o_m)
     pieces = [(use, t_m | (1 << s.v), 3), (oc, o_m, 3)]
-    comps = _build_components(G, pieces, "double-star-clique")
-    cert = CoverCertificate(tuple(comps), tuple(log))
-    _assert_verified(G, cert, "double-star-clique")
-    return cert
+    return _certificate(G, pieces, log, "double-star-clique")
 
 
 def _near_split_small(G, s, c1, c2, k1_m, k2_m, log):
@@ -584,10 +471,7 @@ def _near_split_small(G, s, c1, c2, k1_m, k2_m, log):
 
     def emit(pieces, note):
         log.append(note)
-        comps = _build_components(G, pieces, branch)
-        cert = CoverCertificate(tuple(comps), tuple(log))
-        _assert_verified(G, cert, branch)
-        return cert
+        return _certificate(G, pieces, log, branch)
 
     vb = 1 << s.v
     for u in sorted(s.k1 - {s.v1}):
@@ -649,12 +533,14 @@ def cover_general(G: ColoredGraph) -> CoverCertificate:
     Alpha and its witness set are computed once for G and once for each
     residual graph of the pair peel, and passed down with the graph; the
     alpha = 2 case checks its own precondition without recomputing alpha.
+    Each component is measured once, by the branch that builds it (a peel
+    level measures its own pieces and takes its residual's components as
+    checked), and the component count is checked against floor(3*alpha/2).
     """
     if G.r != 2:
         raise ValueError(f"cover_general requires r=2, got {G.r}")
     alpha, iset = independence_number(G)
     cert = _cover_general_inner(G, alpha, iset)
-    _assert_verified(G, cert, "general")
     limit = 3 * alpha // 2
     if G.n > 0 and len(cert.components) > limit:
         raise ProofAssertionError("general", f"{len(cert.components)} components exceed limit {limit}")
@@ -666,9 +552,9 @@ def _cover_general_inner(G: ColoredGraph, alpha: int, iset: frozenset[int]) -> C
     if G.n == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",))
     if alpha == 1:
-        c, d = _spanning_mono_within(G, G.full_mask)
-        comp = CoverComponent(c, frozenset(G.vertices()), d)
-        return CoverCertificate((comp,), (f"complete graph: spanning color-{c} subgraph",))
+        c, _d = _spanning_mono_within(G, G.full_mask)
+        log = [f"complete graph: spanning color-{c} subgraph"]
+        return _certificate(G, [(c, G.full_mask, 3)], log, "complete")
     if alpha == 2:
         return cover_alpha2(G)
     pair = _mono_p2_pair(G)
@@ -707,20 +593,20 @@ def _cover_general_peel(G, alpha, x, y, c, witness) -> CoverCertificate:
         f"nonadjacent pair ({x},{y}) shares color-{c} neighbor {witness}: "
         f"one joint component plus opposite stars, then recurse on the rest"
     ]
-    comps = _build_components(G, pieces, branch, expect_mask=neighborhood)
     rest = G.full_mask & ~neighborhood
+    residual = []
     if rest:
         sub, labels = induced_subgraph(G, vertex_set(rest))
         sub_alpha, sub_iset = independence_number(sub)
         if sub_alpha > alpha - 2:
             raise ProofAssertionError(branch, f"residual independence {sub_alpha} > {alpha - 2}")
         sub_cert = _cover_general_inner(sub, sub_alpha, sub_iset)
-        for comp in sub_cert.components:
-            comps.append(
-                CoverComponent(comp.color, frozenset(labels[i] for i in comp.vertices), comp.bound)
-            )
+        residual = [
+            CoverComponent(comp.color, frozenset(labels[i] for i in comp.vertices), comp.bound)
+            for comp in sub_cert.components
+        ]
         log.extend("residual: " + entry for entry in sub_cert.build_log)
-    return CoverCertificate(tuple(comps), tuple(log))
+    return _certificate(G, pieces, log, branch, residual)
 
 
 def _cover_general_labels(G, alpha, iset) -> CoverCertificate:
@@ -782,8 +668,7 @@ def _cover_general_labels(G, alpha, iset) -> CoverCertificate:
         f"no nonadjacent pair shares a monochromatic neighbor: {len(centers)} labeled cliques "
         f"plus {sum(1 for m in star_mask.values() if m)} color-{star_color} rescue stars"
     ]
-    comps = _build_components(G, pieces, branch)
-    return CoverCertificate(tuple(comps), tuple(log))
+    return _certificate(G, pieces, log, branch)
 
 
 # -- simple covers -----------------------------------------------------------
@@ -803,13 +688,7 @@ def cover_stars(G: ColoredGraph) -> CoverCertificate:
                 emitted = True
         if not emitted:
             pieces.append((1, 1 << v, 0))
-    log = (f"stars from a maximum independent set of size {alpha}",)
-    if G.n == 0:
-        return CoverCertificate((), log)
-    comps = _build_components(G, pieces, "stars")
-    cert = CoverCertificate(tuple(comps), log)
-    _assert_verified(G, cert, "stars")
-    return cert
+    return _certificate(G, pieces, [f"stars from a maximum independent set of size {alpha}"], "stars")
 
 
 def two_clique_cover(G: ColoredGraph) -> CoverCertificate:
@@ -829,10 +708,7 @@ def two_clique_cover(G: ColoredGraph) -> CoverCertificate:
         c, _d = _spanning_mono_within(G, m)
         pieces.append((c, m, 3))
         notes.append(f"clique {sorted(side)} in color {c}")
-    comps = _build_components(G, pieces, "two-cliques")
-    cert = CoverCertificate(tuple(comps), tuple(notes))
-    _assert_verified(G, cert, "two-cliques")
-    return cert
+    return _certificate(G, pieces, notes, "two-cliques")
 
 
 def cover_via_cliques(G: ColoredGraph, max_n: int = 24) -> CoverCertificate:
@@ -849,10 +725,7 @@ def cover_via_cliques(G: ColoredGraph, max_n: int = 24) -> CoverCertificate:
     for m in classes:
         c, _d = _spanning_mono_within(G, m)
         pieces.append((c, m, 3))
-    comps = _build_components(G, pieces, "clique-partition")
-    cert = CoverCertificate(tuple(comps), (f"minimum clique partition of size {len(classes)}",))
-    _assert_verified(G, cert, "clique-partition")
-    return cert
+    return _certificate(G, pieces, [f"minimum clique partition of size {len(classes)}"], "clique-partition")
 
 
 def _exact_clique_partition(G: ColoredGraph) -> list[int]:

@@ -399,28 +399,51 @@ def is_complement_bipartite(G: ColoredGraph) -> tuple[frozenset[int], frozenset[
     """Two-clique split of V, if one exists.
 
     Returns (X, Y) with G[X], G[Y] complete (a proper 2-coloring of the
-    complement), or None when the complement has an odd cycle. Vertices
-    isolated in the complement all land in X, so complete graphs yield
-    (V, empty).
+    complement), or None when the complement has an odd cycle. Each
+    complement component puts the side of its smallest vertex in X, so
+    complete graphs yield (V, empty).
+    """
+    sides = _complement_sides(G, G.full_mask)
+    if sides is None:
+        return None
+    x = y = 0
+    for first, second in sides:
+        x |= first
+        y |= second
+    return vertex_set(x), vertex_set(y)
+
+
+def _complement_sides(G: ColoredGraph, rest: int) -> list[tuple[int, int]] | None:
+    """Two-coloring of the complement of G[rest], one component at a time.
+
+    For each complement component, in order of smallest vertex, the mask of
+    the side holding that vertex and the mask of the other side; None when
+    the complement has an odd cycle. A bit-parallel BFS: the frontier at each
+    depth is one vertex mask, and a frontier with a complement neighbor on
+    its own side closes an odd cycle.
     """
     comp = G.complement_rows()
-    side = [-1] * G.n
-    for root in range(G.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for w in bits(comp[u]):
-                if side[w] == -1:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    x = frozenset(v for v in range(G.n) if side[v] == 0)
-    y = frozenset(v for v in range(G.n) if side[v] == 1)
-    return x, y
+    out = []
+    while rest:
+        root = rest & -rest
+        sides = [root, 0]
+        frontier = root
+        parity = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= comp[b.bit_length() - 1]
+            nxt &= rest
+            if nxt & sides[parity]:
+                return None
+            parity ^= 1
+            frontier = nxt & ~sides[parity]
+            sides[parity] |= frontier
+        out.append((sides[0], sides[1]))
+        rest &= ~(sides[0] | sides[1])
+    return out
 
 
 def _complement_triangle(comp: list[int]) -> tuple[int, int, int] | None:
@@ -597,7 +620,15 @@ def parse_graph(text: str) -> ColoredGraph:
             raise _not_integers(lineno, raw) from None
     if header is None:
         raise ValueError("empty graph document")
-    return build_graph(header[0], header[1], edges)
+    pending = iter(edges)
+    try:
+        return build_graph(header[0], header[1], pending)
+    except ValueError as exc:
+        # build_graph checks the header, then reads edges in order and stops
+        # at the first bad one: the data line (header first) it read last
+        read = len(edges) - sum(1 for _ in pending)
+        data_lines = [i for i, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].strip()]
+        raise ValueError(f"line {data_lines[read]}: {exc}") from None
 
 
 def format_certificate(cert: CoverCertificate) -> str:
@@ -611,10 +642,16 @@ def format_certificate(cert: CoverCertificate) -> str:
 
 def parse_certificate(text: str) -> CoverCertificate:
     """Parse the certificate format: "k", then k lines "c d: v1 ... vm"."""
+    return _parse_certificate_lines(enumerate(text.splitlines(), start=1))
+
+
+def _parse_certificate_lines(numbered: Iterable[tuple[int, str]]) -> CoverCertificate:
+    """parse_certificate over (line number, line) pairs, so that errors name
+    the line of the whole input."""
     count: int | None = None
     comps: list[CoverComponent] = []
     log: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered:
         stripped = raw.strip()
         if stripped.startswith("#"):
             body = stripped[1:].strip()
@@ -642,6 +679,8 @@ def parse_certificate(text: str) -> CoverCertificate:
             verts = frozenset(int(t) for t in tail.split())
         except ValueError:
             raise _not_integers(lineno, raw) from None
+        if not verts:
+            raise ValueError(f"line {lineno}: cover component must be nonempty, got {raw!r}")
         comps.append(CoverComponent(color, verts, bound))
     if count is None:
         raise ValueError("empty certificate document")
@@ -660,6 +699,5 @@ def parse_combined(text: str) -> tuple[ColoredGraph, CoverCertificate]:
         split = lines.index(COMBINED_SEPARATOR)
     except ValueError:
         raise ValueError("no '---' separator: not a combined graph+certificate stream") from None
-    graph_part = "\n".join(lines[:split])
-    cert_part = "\n".join(lines[split + 1 :])
-    return parse_graph(graph_part), parse_certificate(cert_part)
+    G = parse_graph("\n".join(lines[:split]))
+    return G, _parse_certificate_lines(enumerate(lines[split + 1 :], start=split + 2))

@@ -131,3 +131,72 @@ def odd_walk_length(comp: list[int], n: int, s: int, cap: int | None) -> int | N
                     return d + 1
                 queue.append(key)
     return None
+
+
+def complement_bipartite(G: ColoredGraph):
+    """Reference for graph.is_complement_bipartite: vertex-at-a-time BFS
+    two-coloring of the complement, roots taken in vertex order. Returns
+    (side-0 vertices, side-1 vertices) or None on an odd cycle."""
+    comp = G.complement_rows()
+    side = [-1] * G.n
+    for root in range(G.n):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            for w in range(G.n):
+                if not comp[u] >> w & 1:
+                    continue
+                if side[w] == -1:
+                    side[w] = side[u] ^ 1
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return None
+    x = frozenset(v for v in range(G.n) if side[v] == 0)
+    y = frozenset(v for v in range(G.n) if side[v] == 1)
+    return x, y
+
+
+def two_clique_split(G: ColoredGraph, v: int, a: int, b: int):
+    """Reference for covers._two_clique_split: partition V - {v} into cliques
+    (k1, k2) with a in k1 and b in k2, or None, by a dict-keyed BFS
+    two-coloring of the complement of G - v. The components holding a and b
+    orient by them; any others put the side of their smallest vertex first."""
+    rest = [u for u in range(G.n) if u != v]
+    side: dict[int, int] = {}
+    k1: set[int] = set()
+    k2: set[int] = set()
+    for root in rest:
+        if root in side:
+            continue
+        side[root] = 0
+        members = {root}
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            for w in rest:
+                if w == u or G.has_edge(u, w):
+                    continue
+                if w not in side:
+                    side[w] = side[u] ^ 1
+                    members.add(w)
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return None
+        zero = {u for u in members if side[u] == 0}
+        one = members - zero
+        if a in members and b in members:
+            if side[a] == side[b]:
+                return None
+            first = zero if a in zero else one
+        elif a in members:
+            first = zero if a in zero else one
+        elif b in members:
+            first = one if b in zero else zero
+        else:
+            first = zero
+        k1 |= first
+        k2 |= members - first
+    return k1, k2

@@ -202,6 +202,11 @@ def test_usage_errors(capsys, monkeypatch):
     assert code == 2 and "unknown predicate" in err
     # malformed graph input
     assert invoke(capsys, monkeypatch, ["classify"], stdin_text="oops\n")[0] == 2
+    # oracle has no --jobs flag: the exact solver is single-threaded
+    code, _, err = invoke(
+        capsys, monkeypatch, ["oracle", "--min-cover", "2", "--jobs", "4"], stdin_text=format_graph(gen_p42(1))
+    )
+    assert code == 2 and "--jobs" in err
 
 
 def test_non_integer_token_names_its_line(tmp_path, capsys, monkeypatch):
@@ -219,6 +224,24 @@ def test_non_integer_token_names_its_line(tmp_path, capsys, monkeypatch):
         capsys, monkeypatch, ["verify", "--cert", str(cert)], stdin_text="3 2\n0 1 1\n1 2 1\n"
     )
     assert code == 2 and "line 2" in err and "1 x: 0 1 2" in err
+
+
+def test_input_errors_name_the_input_line(capsys, monkeypatch):
+    cases = [
+        (["verify"], "3 2\n0 1 1\n---\n1\n1 x: 0\n", "line 5: expected integers"),
+        (["verify"], "3 2\n0 1 1\n---\n1\n1 2:\n", "line 5: cover component must be nonempty"),
+        (["verify"], "# g\n3 2\n\n0 1 1\n---\n\n1\n2 x: 0 1 2\n", "line 8: expected integers"),
+        (["classify"], "3 2\n0 1 1\n1 0 2\n", "line 3: conflicting colors 1 and 2"),
+        (["classify"], "3 2\n0 1 1\n# comment\n\n0 3 1\n", "line 5: edge (0,3) out of range"),
+        (["classify"], "3 2\n0 1 1\n2 2 1\n", "line 3: loop at vertex 2"),
+        (["classify"], "3 2\n0 1 3\n", "line 2: color 3 out of range"),
+        (["classify"], "# header next\n-1 2\n", "line 2: vertex count must be nonnegative"),
+        (["verify"], "3 2\n0 1 1\n0 1 2\n---\n1\n1 1: 0 1 2\n", "line 3: conflicting colors"),
+    ]
+    for argv, text, message in cases:
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin_text=text)
+        assert code == 2 and out == "", text
+        assert f"error: {message}" in err, (text, err)
 
 
 def test_search_distribution_rejects_sample_mode(capsys, monkeypatch):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import rand_colored
-from monocover import covers
+from conftest import complement_bipartite, complete_colored, rand_colored, two_clique_split
+from monocover import covers, graph
 from monocover.covers import (
     NearSplitStructure,
     ProofAssertionError,
@@ -24,6 +24,7 @@ from monocover.graph import (
     build_graph,
     format_certificate,
     independence_number,
+    is_complement_bipartite,
     verify_cover,
 )
 
@@ -62,6 +63,26 @@ def test_pair_partition_antihole_frozen():
     assert part.a22 == frozenset({4})
     assert part.kx == frozenset({0, 2}) and part.ky == frozenset({1, 6})
 
+    colors = part.swap_colors()
+    assert (colors.x, colors.y) == (0, 1)
+    assert colors.ax1 == frozenset() and colors.ax2 == frozenset({2})
+    assert colors.ay1 == frozenset() and colors.ay2 == frozenset({6})
+    assert colors.a11 == frozenset({4}) and colors.a22 == frozenset()
+    assert colors.a12 == frozenset({3}) and colors.a21 == frozenset({5})
+    assert colors.kx == part.kx and colors.ky == part.ky
+
+    roles = part.swap_roles()
+    assert (roles.x, roles.y) == (1, 0)
+    assert roles.ax1 == frozenset({6}) and roles.ax2 == frozenset()
+    assert roles.ay1 == frozenset({2}) and roles.ay2 == frozenset()
+    assert roles.a11 == frozenset() and roles.a22 == frozenset({4})
+    assert roles.a12 == frozenset({3}) and roles.a21 == frozenset({5})
+    assert roles.kx == frozenset({1, 6}) and roles.ky == frozenset({0, 2})
+    assert roles == pair_partition(G, 1, 0)
+
+    assert colors.swap_colors() == part and roles.swap_roles() == part
+    assert colors.swap_roles() == roles.swap_colors()
+
 
 def test_pair_partition_rejects():
     G = gen_antihole(3)
@@ -70,6 +91,41 @@ def test_pair_partition_rejects():
     E3 = build_graph(3, 2, [])
     with pytest.raises(ValueError, match="independent triple"):
         pair_partition(E3, 0, 1)
+
+
+def _complement_corpus():
+    """Seeded graphs with n <= 12: random densities, complete graphs, odd
+    antiholes (an odd cycle in the complement) and two cliques joined by a
+    few edges (a bipartite complement, often in several components)."""
+    for seed in range(40):
+        yield rand_colored(1 + seed % 12, 0.3 + 0.6 * (seed % 7) / 6, seed=90_000 + seed)
+    for n in (1, 2, 5, 9, 12):
+        yield complete_colored(n, seed=n)
+    for k in (2, 3, 4, 5):
+        yield gen_antihole(k)
+    for seed in range(10):
+        H = two_cliques(2 + seed % 5, 1 + seed % 6, seed)
+        rng = random.Random(seed)
+        extra = [
+            (u, v, 1) for u in range(H.n) for v in range(u + 1, H.n) if not H.has_edge(u, v) and rng.random() < 0.3
+        ]
+        yield build_graph(H.n, 2, [*H.edges(), *extra])
+
+
+def test_complement_two_coloring_matches_references():
+    outcomes = {"bipartite": 0, "odd": 0, "split": 0, "no-split": 0}
+    for G in _complement_corpus():
+        sides = is_complement_bipartite(G)
+        assert sides == complement_bipartite(G)
+        outcomes["odd" if sides is None else "bipartite"] += 1
+        for v in range(G.n):
+            for a in range(G.n):
+                for b in range(G.n):
+                    split = covers._two_clique_split(G, v, a, b)
+                    ref = two_clique_split(G, v, a, b)
+                    assert split == (None if ref is None else tuple(map(frozenset, ref))), (G.edges(), v, a, b)
+                    outcomes["no-split" if split is None else "split"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 # -- alpha=2 covers -----------------------------------------------------------
@@ -344,6 +400,55 @@ def test_matching_complement_cover():
         G = gen_matching_complement(n)
         cert = cover_general(G)
         assert_good_cover(G, cert, 3 * independence_number(G)[0] // 2, 4)
+
+
+# -- the single certificate check ---------------------------------------------
+
+
+def test_certificate_rejects_broken_pieces():
+    # color-1 path 0-1-2, color-2 edge 2-3, vertex 4 isolated
+    G = build_graph(5, 2, [(0, 1, 1), (1, 2, 1), (2, 3, 2)])
+    cert = covers._certificate(G, [(1, 0b00111, 2), (2, 0b01100, 1), (1, 0b10000, 0)], ["ok"], "fine")
+    assert cert.bounds() == (2, 1, 0) and cert.build_log == ("ok",)
+    cases = {
+        "over the limit": [(1, 0b00111, 1), (2, 0b01100, 1), (1, 0b10000, 0)],
+        "disconnected": [(1, 0b11111, 4)],
+        "uncovered": [(1, 0b00111, 2), (2, 0b01100, 1)],
+    }
+    for name, pieces in cases.items():
+        with pytest.raises(ProofAssertionError, match=r"^\[test-branch\] ") as info:
+            covers._certificate(G, pieces, [], "test-branch")
+        assert info.value.branch == "test-branch", name
+    with pytest.raises(ProofAssertionError, match="miss vertices \\[4\\]"):
+        covers._certificate(G, [(1, 0b00111, 2)], [], "peel", residual=cert.components[1:2])
+
+
+def _count_measurements(monkeypatch, build, G):
+    """build(G), counting the _mask_diameter calls of graph and covers."""
+    calls = []
+    original = graph._mask_diameter
+
+    def counted(rows, mask):
+        calls.append(mask)
+        return original(rows, mask)
+
+    monkeypatch.setattr(graph, "_mask_diameter", counted)
+    monkeypatch.setattr(covers, "_mask_diameter", counted)
+    cert = build(G)
+    return len(calls), cert
+
+
+def test_each_component_measured_once(monkeypatch):
+    builds = [
+        (cover_stars, rand_colored(12, 0.4, seed=3)),
+        (two_clique_cover, two_cliques(4, 5, seed=3)),
+        (cover_via_cliques, rand_colored(9, 0.6, seed=3)),
+        (cover_general, build_graph(6, 2, [(u, v, 1 + (u + v) % 2) for u in range(6) for v in range(u + 1, 6)])),
+    ]
+    for build, G in builds:
+        calls, cert = _count_measurements(monkeypatch, build, G)
+        assert len(cert) >= 1 and calls == len(cert), build.__name__
+        assert verify_cover(G, cert)
 
 
 # -- frozen certificates --------------------------------------------------------
