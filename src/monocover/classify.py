@@ -25,6 +25,7 @@ from .graph import (
     UNREACHABLE,
     ColoredGraph,
     CoverComponent,
+    _ball,
     _mask_diameter,
     bits,
     vertex_set,
@@ -116,18 +117,7 @@ def double_star_bases(G: ColoredGraph, color: int) -> list[tuple[int, int]]:
 def _far_pair(rows: list[int], mask: int) -> tuple[int, int]:
     """Lexicographically least pair at color-distance > 3 inside the mask."""
     for u in bits(mask):
-        seen = 1 << u
-        frontier = seen
-        for _ in range(3):
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= rows[b.bit_length() - 1]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        far = mask & ~seen
+        far = mask & ~_ball(rows, mask, 1 << u, 3)[0]
         if far:
             return u, next(bits(far))
     raise AssertionError("no pair at distance > 3 despite diameter > 3")

@@ -42,9 +42,9 @@ from .search import (
     ConstructiveMatchesOracle,
     HasBoundsCover,
     MinCoverAtMost,
+    MinCoverDistribution,
     enumerate_colorings,
     format_report,
-    min_cover_distribution,
 )
 
 EXIT_OK = 0
@@ -227,56 +227,42 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}")
 
 
+_PREDICATE_SYNTAX = {
+    "has-bounds-cover": "has-bounds-cover:D1,..,Dk",
+    "min-cover-atmost": "min-cover-atmost:D,K",
+    "constructive-matches-oracle": "constructive-matches-oracle[:D]",
+    "min-cover-distribution": "min-cover-distribution:D",
+}
+
+
 def _parse_predicate(text: str):
     """Predicate syntax: name[:comma-separated-args]."""
     name, _, arg = text.partition(":")
-    if name == "has-bounds-cover":
-        bounds = _parse_int_list(arg, "--predicate")
-        if not bounds:
-            raise ValueError("has-bounds-cover needs bounds, e.g. has-bounds-cover:3,3")
-        return HasBoundsCover(tuple(bounds))
-    if name == "min-cover-atmost":
-        vals = _parse_int_list(arg, "--predicate")
-        if len(vals) != 2:
-            raise ValueError("min-cover-atmost needs d,k, e.g. min-cover-atmost:2,1")
-        return MinCoverAtMost(vals[0], vals[1])
-    if name == "constructive-matches-oracle":
-        if arg:
-            (d,) = _parse_int_list(arg, "--predicate")
-            return ConstructiveMatchesOracle(d)
-        return ConstructiveMatchesOracle()
-    if name == "min-cover-distribution":
-        (d,) = _parse_int_list(arg, "--predicate")
-        return ("distribution", d)
-    raise ValueError(
-        f"unknown predicate {name!r}; use has-bounds-cover:D1,..,Dk, "
-        "min-cover-atmost:D,K, constructive-matches-oracle[:D], "
-        "or min-cover-distribution:D"
-    )
+    if name not in _PREDICATE_SYNTAX:
+        raise ValueError(f"unknown predicate {name!r}; use {', '.join(_PREDICATE_SYNTAX.values())}")
+    vals = _parse_int_list(arg, "--predicate")
+    if name == "has-bounds-cover" and vals:
+        return HasBoundsCover(tuple(vals))
+    if name == "min-cover-atmost" and len(vals) == 2:
+        return MinCoverAtMost(*vals)
+    if name == "constructive-matches-oracle" and len(vals) <= 1:
+        return ConstructiveMatchesOracle(*vals)
+    if name == "min-cover-distribution" and len(vals) == 1:
+        return MinCoverDistribution(*vals)
+    raise ValueError(f"predicate {name} takes {_PREDICATE_SYNTAX[name]}, got {text!r}")
 
 
 def _cmd_search(args) -> int:
-    host = _load_graph(args.host)
-    predicate = _parse_predicate(args.predicate)
-    if isinstance(predicate, tuple):
-        if args.mode != "exhaustive":
-            raise ValueError(
-                f"min-cover-distribution supports only exhaustive mode, not --mode {args.mode}"
-            )
-        _hist, report = min_cover_distribution(
-            host, args.colors, predicate[1], budget=args.budget, jobs=args.jobs
-        )
-    else:
-        report = enumerate_colorings(
-            host,
-            args.colors,
-            predicate,
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-            budget=args.budget,
-            jobs=args.jobs,
-        )
+    report = enumerate_colorings(
+        _load_graph(args.host),
+        args.colors,
+        _parse_predicate(args.predicate),
+        mode=args.mode,
+        samples=args.samples,
+        seed=args.seed,
+        budget=args.budget,
+        jobs=args.jobs,
+    )
     print(format_report(report))
     if report.partial:
         return EXIT_LIMIT

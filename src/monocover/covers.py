@@ -185,8 +185,9 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
         raise ValueError(f"cover_alpha2 requires independence number exactly 2, got {alpha}")
     log: list[str] = []
 
-    if is_complement_bipartite(G) is not None:
-        inner = two_clique_cover(G)
+    split = is_complement_bipartite(G)
+    if split is not None:
+        inner = _two_clique_certificate(G, split)
         log.append("complement is bipartite: two spanning cliques, one small-diameter color each")
         log.extend(inner.build_log)
         return CoverCertificate(inner.components, tuple(log))
@@ -699,6 +700,11 @@ def two_clique_cover(G: ColoredGraph) -> CoverCertificate:
     split = is_complement_bipartite(G)
     if split is None:
         raise ValueError("complement is not bipartite: no two-clique split exists")
+    return _two_clique_certificate(G, split)
+
+
+def _two_clique_certificate(G: ColoredGraph, split: tuple[frozenset[int], frozenset[int]]) -> CoverCertificate:
+    """two_clique_cover from the two-clique split (X, Y) already in hand."""
     pieces = []
     notes = []
     for side in split:

@@ -165,37 +165,40 @@ def build_graph(n: int, r: int, edges: Iterable[tuple[int, int, int]]) -> Colore
 # -- per-color metric ----------------------------------------------------
 
 
-def _mask_eccentricity(rows: list[int], mask: int, start_bit: int):
-    """Eccentricity of the vertex `start_bit` inside the induced mask."""
-    seen = start_bit
-    frontier = start_bit
-    d = 0
-    while seen != mask:
+def _ball(rows: list[int], mask: int, start: int, radius: int) -> tuple[int, int]:
+    """Vertices of `mask` within distance `radius` of the vertex mask `start`
+    in the subgraph induced on `mask`, and the depth at which the search
+    stopped: the largest distance from `start` to a returned vertex.
+
+    A bit-parallel BFS, one frontier mask per level; it stops at `radius`,
+    when it has reached all of `mask`, or when no new vertex is reachable.
+    """
+    seen = frontier = start
+    depth = 0
+    while depth < radius and seen != mask:
         nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
             nxt |= rows[b.bit_length() - 1]
         frontier = nxt & mask & ~seen
         if not frontier:
-            return UNREACHABLE
+            break
         seen |= frontier
-        d += 1
-    return d
+        depth += 1
+    return seen, depth
 
 
 def _mask_diameter(rows: list[int], mask: int):
     """Diameter of the color subgraph induced on the vertex mask."""
-    if mask & (mask - 1) == 0:
-        return 0
     worst = 0
+    radius = mask.bit_count()
     rem = mask
     while rem:
         bit = rem & -rem
         rem ^= bit
-        ecc = _mask_eccentricity(rows, mask, bit)
-        if ecc is UNREACHABLE:
+        seen, ecc = _ball(rows, mask, bit, radius)
+        if seen != mask:
             return UNREACHABLE
         if ecc > worst:
             worst = ecc
@@ -204,28 +207,11 @@ def _mask_diameter(rows: list[int], mask: int):
 
 def _mask_diam_le(rows: list[int], mask: int, d: int) -> bool:
     """True iff the induced color subgraph on `mask` has diameter <= d."""
-    if mask & (mask - 1) == 0:
-        return True
     rem = mask
     while rem:
         bit = rem & -rem
         rem ^= bit
-        seen = bit
-        frontier = bit
-        for _ in range(d):
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= rows[b.bit_length() - 1]
-            frontier = nxt & mask & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            if seen == mask:
-                break
-        if seen != mask:
+        if _ball(rows, mask, bit, d)[0] != mask:
             return False
     return True
 
@@ -469,13 +455,15 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
     Returns None when the complement is bipartite. A triangle in the
     complement (an independent triple of G) is an error.
 
-    The length of the shortest odd closed walk through each start vertex
-    comes from a bit-parallel BFS over the bipartite double cover, one
-    frontier mask per level, capped at the best length found so far; a
-    second, parent-tracking pass recovers the cycle through the first start
-    vertex that attains the minimum.
+    One bit-parallel BFS over the bipartite double cover per start vertex,
+    capped at the best length found so far, gives the shortest odd closed
+    walk through it. The levels of the first start that attains the minimum
+    L yield the cycle directly: a vertex on the walk at step k lies in
+    level k and, by the parity swap of the double cover, in level L - k.
+    Taking the lowest such complement neighbor at each step gives the
+    lexicographically least shortest walk, listed from the start vertex and
+    oriented so that its second vertex is below its last.
     """
-    n = G.n
     comp = G.complement_rows()
     triangle = _complement_triangle(comp)
     if triangle is not None:
@@ -485,75 +473,51 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
         )
     # The global minimum is attained by a simple cycle, and the smallest
     # start index achieving it lies on that cycle.
-    best_len: int | None = None
-    best_start = -1
-    for s in range(n):
-        length = _odd_walk_length(comp, s, best_len)
-        if length is not None and (best_len is None or length < best_len):
-            best_len = length
-            best_start = s
-    if best_len is None:
+    best: list[int] | None = None
+    for s in range(G.n):
+        levels = _odd_walk_levels(comp, s, None if best is None else len(best))
+        if levels is not None and (best is None or len(levels) < len(best)):
+            best = levels
+    if best is None:
         return None
-    cycle = _odd_cycle_through(comp, n, best_start, best_len)
-    if len(set(cycle)) != len(cycle):
+    L = len(best)
+    cycle = [best[0].bit_length() - 1]
+    for k in range(1, L):
+        step = comp[cycle[-1]] & best[k] & best[L - k]
+        cycle.append((step & -step).bit_length() - 1)
+    if len(set(cycle)) != L:
         raise AssertionError("shortest odd closed walk was not simple")
-    if len(cycle) > 2 and cycle[1] > cycle[-1]:
+    if L > 2 and cycle[1] > cycle[-1]:
         cycle = [cycle[0]] + cycle[:0:-1]
     return cycle
 
 
-def _odd_walk_length(comp: list[int], s: int, cap: int | None) -> int | None:
-    """Length of the shortest odd closed walk through `s`, or None when there
-    is none or it is longer than `cap`.
-
-    BFS from (s, even) in the bipartite double cover, level by level: the
-    frontier at depth d is a vertex mask of parity d % 2, and each parity
-    keeps its own seen mask.
+def _odd_walk_levels(comp: list[int], s: int, cap: int | None) -> list[int] | None:
+    """BFS levels from (s, even) in the bipartite double cover, up to the
+    shortest odd closed walk through `s`: levels[k] is the vertex mask first
+    reached at depth k with parity k % 2, and the walk has length
+    len(levels). None when there is no odd closed walk through `s`, or when
+    it is longer than `cap`.
     """
     start = 1 << s
     frontier = start
     seen = [start, 0]  # by parity of the depth
-    depth = 0
+    levels = []
     while frontier:
-        if cap is not None and depth >= cap:
+        if cap is not None and len(levels) >= cap:
             return None
+        levels.append(frontier)
         nxt = 0
         while frontier:
             b = frontier & -frontier
             frontier ^= b
             nxt |= comp[b.bit_length() - 1]
-        depth += 1
-        parity = depth & 1
+        parity = len(levels) & 1
         if parity and nxt & start:
-            return depth
+            return levels
         frontier = nxt & ~seen[parity]
         seen[parity] |= frontier
     return None
-
-
-def _odd_cycle_through(comp: list[int], n: int, s: int, length: int) -> list[int]:
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    dist = {(s, 0): 0}
-    queue = [(s, 0)]
-    head = 0
-    target = (s, 1)
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        u, par = node
-        for w in bits(comp[u]):
-            key = (w, par ^ 1)
-            if key not in dist:
-                dist[key] = dist[node] + 1
-                parent[key] = node
-                if key == target:
-                    path = [key]
-                    while path[-1] != (s, 0):
-                        path.append(parent[path[-1]])
-                    verts = [v for v, _ in reversed(path)]
-                    return verts[:-1]
-                queue.append(key)
-    raise AssertionError("odd cycle disappeared between passes")
 
 
 # -- induced subgraphs -----------------------------------------------------

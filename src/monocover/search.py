@@ -170,8 +170,12 @@ class ConstructiveMatchesOracle:
 
 
 @dataclass(frozen=True)
-class _MinCoverValue:
+class MinCoverDistribution:
+    """Passes on every coloring; badness is the exact minimum diameter-<=d
+    cover size, and the report carries the histogram of those values."""
+
     d: int
+    histogram = True  # not a field: reports of this predicate carry one
 
     @property
     def name(self) -> str:
@@ -313,10 +317,41 @@ def _merge(results):
     return ok, fail, best, hist
 
 
-def _run_search(host, r, predicate, mode, scope, budget, jobs, collect, sample_seed):
+def enumerate_colorings(
+    host: ColoredGraph,
+    r: int,
+    predicate,
+    mode: str = "exhaustive",
+    samples: int = 0,
+    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+    jobs: int = 1,
+) -> SearchReport:
+    """Evaluate `predicate` on the canonical r-colorings of the host's edges.
+
+    Exhaustive mode walks all canonical colorings in lexicographic order,
+    stopping at `budget` evaluations (report flagged partial). Sample mode
+    draws `samples` colorings, each edge color uniform, from a generator
+    seeded with seed*2^32 + sample index, then canonicalizes. The report
+    carries a histogram of badness values when the predicate has a true
+    `histogram` attribute.
+    """
     start = time.perf_counter()
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     m = len(host.edge_color)
+    if mode == "exhaustive":
+        scope = count_canonical(m, r)
+    elif mode == "sample":
+        if samples < 1:
+            raise ValueError("sample mode needs samples >= 1")
+        scope = samples
+    else:
+        raise ValueError(f"unknown mode {mode!r}; use exhaustive or sample")
     evaluated = min(scope, budget)
+    collect = getattr(predicate, "histogram", False)
     _STATE.clear()
     _STATE.update(
         n=host.n,
@@ -325,7 +360,7 @@ def _run_search(host, r, predicate, mode, scope, budget, jobs, collect, sample_s
         predicate=predicate,
         mode=mode,
         collect=collect,
-        sample_seed=sample_seed,
+        sample_seed=seed,
         ways=_rgs_ways(m, r) if mode == "exhaustive" else None,
     )
     if evaluated == 0:
@@ -339,7 +374,7 @@ def _run_search(host, r, predicate, mode, scope, budget, jobs, collect, sample_s
         with get_context("fork").Pool(jobs) as pool:
             results = pool.map(_eval_chunk, spans)
     ok, fail, best, hist = _merge(results)
-    report = SearchReport(
+    return SearchReport(
         host=f"n={host.n} m={m}",
         r=r,
         predicate=predicate.name,
@@ -358,40 +393,6 @@ def _run_search(host, r, predicate, mode, scope, budget, jobs, collect, sample_s
         wall_seconds=time.perf_counter() - start,
         jobs=jobs,
     )
-    return report, hist
-
-
-def enumerate_colorings(
-    host: ColoredGraph,
-    r: int,
-    predicate,
-    mode: str = "exhaustive",
-    samples: int = 0,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
-) -> SearchReport:
-    """Evaluate `predicate` on the canonical r-colorings of the host's edges.
-
-    Exhaustive mode walks all canonical colorings in lexicographic order,
-    stopping at `budget` evaluations (report flagged partial). Sample mode
-    draws `samples` colorings, each edge color uniform, from a generator
-    seeded with seed*2^32 + sample index, then canonicalizes.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    if mode == "exhaustive":
-        scope = count_canonical(len(host.edge_color), r)
-    elif mode == "sample":
-        if samples < 1:
-            raise ValueError("sample mode needs samples >= 1")
-        scope = samples
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use exhaustive or sample")
-    report, _hist = _run_search(host, r, predicate, mode, scope, budget, jobs, False, seed)
-    return report
 
 
 def min_cover_distribution(
@@ -404,10 +405,5 @@ def min_cover_distribution(
     """Histogram of exact minimum cover sizes at diameter bound d over all
     canonical colorings; the maximum observed value lower-bounds what any
     coloring of this host can force."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    scope = count_canonical(len(host.edge_color), r)
-    report, hist = _run_search(
-        host, r, _MinCoverValue(d), "exhaustive", scope, budget, jobs, True, 0
-    )
-    return dict(sorted(hist.items())), report
+    report = enumerate_colorings(host, r, MinCoverDistribution(d), budget=budget, jobs=jobs)
+    return dict(report.histogram), report

@@ -108,10 +108,10 @@ def dp_min_cover(G: ColoredGraph, d: int) -> int:
 
 
 def odd_walk_length(comp: list[int], n: int, s: int, cap: int | None) -> int | None:
-    """Reference for graph._odd_walk_length: vertex-at-a-time BFS over the
-    bipartite double cover, nodes keyed by (vertex, parity) in a dict.
-    Returns the shortest odd closed walk through s, or None when there is
-    none or a node at depth >= cap is reached first."""
+    """Reference for the walk length of graph._odd_walk_levels: vertex-at-a-
+    time BFS over the bipartite double cover, nodes keyed by (vertex, parity)
+    in a dict. Returns the shortest odd closed walk through s, or None when
+    there is none or a node at depth >= cap is reached first."""
     dist = {(s, 0): 0}
     queue = [(s, 0)]
     head = 0
@@ -131,6 +131,48 @@ def odd_walk_length(comp: list[int], n: int, s: int, cap: int | None) -> int | N
                     return d + 1
                 queue.append(key)
     return None
+
+
+def odd_cycle_through(comp: list[int], n: int, s: int) -> list[int] | None:
+    """Reference for the cycle of graph.find_odd_antihole: dict-keyed BFS
+    over the bipartite double cover from (s, even) with first-parent links,
+    so each node's path is the lexicographically least shortest one. Returns
+    the vertices of the shortest odd closed walk through s, starting at s,
+    or None when there is none."""
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    seen = {(s, 0)}
+    queue = [(s, 0)]
+    head = 0
+    while head < len(queue):
+        node = queue[head]
+        head += 1
+        u, par = node
+        for w in range(n):
+            key = (w, par ^ 1)
+            if not comp[u] >> w & 1 or key in seen:
+                continue
+            seen.add(key)
+            parent[key] = node
+            if key == (s, 1):
+                path = [key]
+                while path[-1] != (s, 0):
+                    path.append(parent[path[-1]])
+                return [v for v, _ in reversed(path)][:-1]
+            queue.append(key)
+    return None
+
+
+def bfs_distances(rows: list[int], mask: int, s: int) -> dict[int, int]:
+    """Distances from vertex s to the vertices it reaches in the subgraph
+    induced on `mask`, by a vertex-at-a-time BFS."""
+    dist = {s: 0}
+    queue = [s]
+    for u in queue:
+        for w in range(mask.bit_length()):
+            if mask >> w & 1 and rows[u] >> w & 1 and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def complement_bipartite(G: ColoredGraph):

@@ -200,6 +200,20 @@ def test_usage_errors(capsys, monkeypatch):
         stdin_text=format_graph(gen_p42(1)),
     )
     assert code == 2 and "unknown predicate" in err
+    for text, syntax in [
+        ("min-cover-distribution:", "min-cover-distribution:D"),
+        ("min-cover-distribution:1,2", "min-cover-distribution:D"),
+        ("constructive-matches-oracle:1,2", "constructive-matches-oracle[:D]"),
+        ("min-cover-atmost:2", "min-cover-atmost:D,K"),
+        ("has-bounds-cover", "has-bounds-cover:D1,..,Dk"),
+    ]:
+        code, _, err = invoke(
+            capsys,
+            monkeypatch,
+            ["search", "--colors", "2", "--predicate", text],
+            stdin_text=format_graph(gen_p42(1)),
+        )
+        assert code == 2 and f"error: predicate {text.partition(':')[0]} takes {syntax}" in err, (text, err)
     # malformed graph input
     assert invoke(capsys, monkeypatch, ["classify"], stdin_text="oops\n")[0] == 2
     # oracle has no --jobs flag: the exact solver is single-threaded
@@ -244,16 +258,20 @@ def test_input_errors_name_the_input_line(capsys, monkeypatch):
         assert f"error: {message}" in err, (text, err)
 
 
-def test_search_distribution_rejects_sample_mode(capsys, monkeypatch):
-    code, out, err = invoke(
-        capsys,
-        monkeypatch,
-        ["search", "--colors", "2", "--predicate", "min-cover-distribution:2",
-         "--mode", "sample", "--samples", "5"],
-        stdin_text=format_graph(gen_p42(1)),
-    )
-    assert code == 2 and out == ""
-    assert "only exhaustive mode" in err
+def test_search_distribution_samples(capsys, monkeypatch):
+    """min-cover-distribution is a normal predicate: sample mode draws
+    --samples colorings and its histogram does not depend on --jobs."""
+    argv = ["search", "--colors", "2", "--predicate", "min-cover-distribution:2",
+            "--mode", "sample", "--samples", "7", "--seed", "3"]
+    histograms = []
+    for jobs in ("1", "2"):
+        code, out, _ = invoke(capsys, monkeypatch, argv + ["--jobs", jobs], stdin_text=format_graph(gen_p42(1)))
+        assert code == 0 and "over sample colorings" in out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("histogram = ")]
+        histograms.append(line)
+    counts = [int(pair.split(":")[1]) for pair in histograms[0].split(" = ")[1].split(",")]
+    assert sum(counts) == 7
+    assert histograms[0] == histograms[1]
 
 
 def test_module_entry_point():

@@ -344,6 +344,46 @@ def test_two_clique_cover():
         two_clique_cover(gen_antihole(2))  # complement is an odd cycle
 
 
+def bipartite_complement(n1, n2, p, seed):
+    """Cliques on 0..n1-1 and on the rest, with each edge between them
+    missing with probability p; randomly 2-colored."""
+    rng = random.Random(seed)
+    n = n1 + n2
+    edges = [
+        (u, v, rng.randrange(1, 3))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u < n1) == (v < n1) or rng.random() > p
+    ]
+    return build_graph(n, 2, edges)
+
+
+def test_cover_alpha2_two_colors_a_bipartite_complement_once(monkeypatch):
+    calls = []
+    original = graph._complement_sides
+
+    def counted(G, rest):
+        calls.append(rest)
+        return original(G, rest)
+
+    monkeypatch.setattr(graph, "_complement_sides", counted)
+    monkeypatch.setattr(covers, "_complement_sides", counted)
+    head = "complement is bipartite: two spanning cliques, one small-diameter color each"
+    G = bipartite_complement(3, 4, 0.5, 1)
+    assert cover_alpha2(G).build_log == (head, "clique [0, 1, 2, 6] in color 1", "clique [3, 4, 5] in color 1")
+    for seed in range(30):
+        G = bipartite_complement(1 + seed % 5, 1 + seed % 7, 0.2 + 0.6 * (seed % 4) / 4, 510 + seed)
+        if not any(G.complement_rows()):
+            continue  # alpha 1
+        calls.clear()
+        cert = cover_alpha2(G)
+        assert len(calls) == 1, seed
+        expected = two_clique_cover(G)
+        assert cert.components == expected.components
+        assert cert.build_log == (head, *expected.build_log)
+        assert_good_cover(G, cert, 2, 3)
+
+
 def _chromatic_number(n, edge_pairs):
     adj = [set() for _ in range(n)]
     for u, v in edge_pairs:

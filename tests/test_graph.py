@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bfs_distances,
     brute_alpha,
     complete_colored,
     fw_diameter,
     mono_edge_pairs,
+    odd_cycle_through,
     odd_walk_length,
     rand_colored,
 )
@@ -30,7 +33,8 @@ from monocover.graph import (
     parse_graph,
     verify_cover,
 )
-from monocover.graph import _complement_triangle, _mask_diameter, _max_clique, _odd_walk_length
+from monocover.generators import gen_antihole, gen_random_alpha2
+from monocover.graph import _ball, _complement_triangle, _mask_diameter, _max_clique, _odd_walk_levels
 
 
 def test_build_graph_basic():
@@ -165,8 +169,6 @@ def test_is_complement_bipartite():
 
 
 def test_find_odd_antihole_structure():
-    from monocover.generators import gen_antihole
-
     for k in (2, 3, 4):
         G = gen_antihole(k)
         hole = find_odd_antihole(G)
@@ -193,8 +195,69 @@ def test_odd_walk_length_matches_reference():
         for rows in (G.adj_rows, G.complement_rows()):
             for s in range(n):
                 for cap in [None, *range(n + 3)]:
-                    assert _odd_walk_length(rows, s, cap) == odd_walk_length(rows, n, s, cap), (
-                        seed, s, cap)
+                    levels = _odd_walk_levels(rows, s, cap)
+                    length = None if levels is None else len(levels)
+                    assert length == odd_walk_length(rows, n, s, cap), (seed, s, cap)
+
+
+def reference_odd_antihole(G):
+    """find_odd_antihole by the reference BFS: the shortest odd closed walk
+    through the smallest start that attains the minimum, second vertex
+    below the last."""
+    comp = G.complement_rows()
+    found = [(odd_walk_length(comp, G.n, s, None), s) for s in range(G.n)]
+    found = [(length, s) for length, s in found if length is not None]
+    if not found:
+        return None
+    cycle = odd_cycle_through(comp, G.n, min(found)[1])
+    if len(cycle) > 2 and cycle[1] > cycle[-1]:
+        cycle = [cycle[0]] + cycle[:0:-1]
+    return cycle
+
+
+def twin_blowup(k, seed):
+    """The antihole on 2k + 1 vertices with each vertex replaced by 1 to 3
+    adjacent twins, randomly 2-colored and relabeled: its complement has
+    many shortest odd cycles through each vertex."""
+    rng = random.Random(seed)
+    L = 2 * k + 1
+    blob = [i for i in range(L) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(blob)
+    edges = [
+        (u, v, rng.randrange(1, 3))
+        for u, v in itertools.combinations(range(len(blob)), 2)
+        if (blob[u] - blob[v]) % L not in (1, L - 1)
+    ]
+    return build_graph(len(blob), 2, edges)
+
+
+def test_find_odd_antihole_matches_reference():
+    graphs = [gen_random_alpha2(4 + seed % 27, 0.1 + 0.8 * (seed % 9) / 9, 31_000 + seed) for seed in range(150)]
+    graphs += [gen_antihole(k) for k in range(2, 9)]
+    graphs += [twin_blowup(2 + seed % 5, 32_000 + seed) for seed in range(60)]
+    for i, G in enumerate(graphs):
+        assert find_odd_antihole(G) == reference_odd_antihole(G), i
+    assert sum(find_odd_antihole(G) is not None for G in graphs[:150]) > 30
+
+
+def test_ball_matches_reference():
+    """Every start, every radius 0..|mask|: the ball is the set of mask
+    vertices within the radius, and the depth is the largest distance in it."""
+    for seed in range(60):
+        n = 1 + seed % 12
+        G = rand_colored(n, 0.15 + 0.7 * (seed % 5) / 5, seed=33_000 + seed)
+        rng = random.Random(seed)
+        mask = rng.getrandbits(n) | 1 << rng.randrange(n)
+        rows = G.color_rows[seed % 2]
+        for s in range(n):
+            if not mask >> s & 1:
+                continue
+            dist = bfs_distances(rows, mask, s)
+            for radius in range(mask.bit_count() + 1):
+                inside = {v: d for v, d in dist.items() if d <= radius}
+                seen, depth = _ball(rows, mask, 1 << s, radius)
+                assert seen == sum(1 << v for v in inside), (seed, s, radius)
+                assert depth == max(inside.values()), (seed, s, radius)
 
 
 def test_complement_triangle_is_first_independent_triple():
