@@ -12,8 +12,9 @@ larger diameter:
               star.
   BOTH_TWO    both diameters equal 2; no structural witness.
 
-The witnesses power the constructive covers: in particular every pattern
-yields a spanning monochromatic subgraph of diameter at most 3.
+The witnesses power the constructive covers. In every pattern the color of
+smaller diameter (color 1 on ties) spans with diameter at most 3, so that
+color is picked from the two diameters alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graph import (
-    UNREACHABLE,
     ColoredGraph,
     CoverComponent,
     _ball,
@@ -178,19 +178,14 @@ def classify_complete(G: ColoredGraph) -> ClassifierVerdict:
 
 def _spanning_mono_within(G: ColoredGraph, mask: int) -> tuple[int, int]:
     """(color, achieved diameter <= 3) of a spanning monochromatic subgraph
-    of the complete graph induced on `mask`. Ties break to color 1."""
+    of the complete graph induced on `mask`: the color of smaller diameter,
+    color 1 on ties. This is the color each classifier pattern spans with."""
     if mask & (mask - 1) == 0:
         return 1, 0
-    verdict = _classify_within(G, mask)
-    d1, d2 = verdict.diameters
-    if verdict.case is DiamPattern.OVER_THREE:
-        color = 2 if verdict.house.swapped_colors else 1
-    elif verdict.case is DiamPattern.THREE_TWO:
-        color = verdict.double_star_color
-    else:
-        color = 1
-    achieved = d1 if color == 1 else d2
-    if achieved is UNREACHABLE or achieved > 3:
+    d1 = _mask_diameter(G.color_rows[0], mask)
+    d2 = _mask_diameter(G.color_rows[1], mask)
+    color, achieved = (2, d2) if d2 < d1 else (1, d1)
+    if achieved > 3:  # an unreachable diameter compares above every int
         raise AssertionError("spanning color exceeded diameter 3")
     return color, achieved
 
@@ -198,9 +193,9 @@ def _spanning_mono_within(G: ColoredGraph, mask: int) -> tuple[int, int]:
 def spanning_mono_small_diameter(G: ColoredGraph) -> CoverComponent:
     """A spanning monochromatic subgraph of diameter at most 3.
 
-    Returns a CoverComponent whose vertex set is all of V, whose color follows
-    the classifier (the small-diameter color, a double-star color, or color 1
-    on ties) and whose bound is the achieved diameter.
+    Returns a CoverComponent whose vertex set is all of V, whose color is the
+    smaller-diameter color, color 1 on ties, and whose bound is the achieved
+    diameter.
     """
     _require_two_colored_complete(G, "spanning_mono_small_diameter")
     if G.n < 1:

@@ -531,37 +531,37 @@ def cover_general(G: ColoredGraph) -> CoverCertificate:
     components of diameter at most 4 each, alpha being the exact
     independence number.
 
-    Alpha and its witness set are computed once for G and once for each
-    residual graph of the pair peel, and passed down with the graph; the
-    alpha = 2 case checks its own precondition without recomputing alpha.
-    Each component is measured once, by the branch that builds it (a peel
-    level measures its own pieces and takes its residual's components as
-    checked), and the component count is checked against floor(3*alpha/2).
+    alpha = 1 (no non-edge) and alpha = 2 (no complement triangle) are read
+    off the complement; only alpha >= 3 computes the independence number, for
+    G and for each residual graph of the pair peel. Each component is measured
+    once, by the branch that builds it, and the component count is checked
+    against floor(3*alpha/2).
     """
     if G.r != 2:
         raise ValueError(f"cover_general requires r=2, got {G.r}")
-    alpha, iset = independence_number(G)
-    cert = _cover_general_inner(G, alpha, iset)
+    cert, alpha = _cover_general_inner(G)
     limit = 3 * alpha // 2
     if G.n > 0 and len(cert.components) > limit:
         raise ProofAssertionError("general", f"{len(cert.components)} components exceed limit {limit}")
     return cert
 
 
-def _cover_general_inner(G: ColoredGraph, alpha: int, iset: frozenset[int]) -> CoverCertificate:
-    """Cover of G given its independence number and a maximum independent set."""
+def _cover_general_inner(G: ColoredGraph) -> tuple[CoverCertificate, int]:
+    """Cover of G and its independence number."""
     if G.n == 0:
-        return CoverCertificate((), ("empty graph: nothing to cover",))
-    if alpha == 1:
+        return CoverCertificate((), ("empty graph: nothing to cover",)), 0
+    comp = G.complement_rows()
+    if not any(comp):
         c, _d = _spanning_mono_within(G, G.full_mask)
         log = [f"complete graph: spanning color-{c} subgraph"]
-        return _certificate(G, [(c, G.full_mask, 3)], log, "complete")
-    if alpha == 2:
-        return cover_alpha2(G)
+        return _certificate(G, [(c, G.full_mask, 3)], log, "complete"), 1
+    if _complement_triangle(comp) is None:
+        return cover_alpha2(G), 2
+    alpha, iset = independence_number(G)
     pair = _mono_p2_pair(G)
     if pair is not None:
-        return _cover_general_peel(G, alpha, *pair)
-    return _cover_general_labels(G, alpha, iset)
+        return _cover_general_peel(G, alpha, *pair), alpha
+    return _cover_general_labels(G, iset), alpha
 
 
 def _mono_p2_pair(G: ColoredGraph):
@@ -598,10 +598,9 @@ def _cover_general_peel(G, alpha, x, y, c, witness) -> CoverCertificate:
     residual = []
     if rest:
         sub, labels = induced_subgraph(G, vertex_set(rest))
-        sub_alpha, sub_iset = independence_number(sub)
+        sub_cert, sub_alpha = _cover_general_inner(sub)
         if sub_alpha > alpha - 2:
             raise ProofAssertionError(branch, f"residual independence {sub_alpha} > {alpha - 2}")
-        sub_cert = _cover_general_inner(sub, sub_alpha, sub_iset)
         residual = [
             CoverComponent(comp.color, frozenset(labels[i] for i in comp.vertices), comp.bound)
             for comp in sub_cert.components
@@ -610,7 +609,7 @@ def _cover_general_peel(G, alpha, x, y, c, witness) -> CoverCertificate:
     return _certificate(G, pieces, log, branch, residual)
 
 
-def _cover_general_labels(G, alpha, iset) -> CoverCertificate:
+def _cover_general_labels(G, iset) -> CoverCertificate:
     branch = "independent-labels"
     centers = sorted(iset)
     imask = mask_of(centers)

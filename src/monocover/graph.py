@@ -645,6 +645,9 @@ def _parse_certificate_lines(numbered: Iterable[tuple[int, str]]) -> CoverCertif
             raise _not_integers(lineno, raw) from None
         if not verts:
             raise ValueError(f"line {lineno}: cover component must be nonempty, got {raw!r}")
+        for what, value, low in (("color", color, 1), ("bound", bound, 0), ("vertex", min(verts), 0)):
+            if value < low:
+                raise ValueError(f"line {lineno}: {what} {value} below {low}, got {raw!r}")
         comps.append(CoverComponent(color, verts, bound))
     if count is None:
         raise ValueError("empty certificate document")

@@ -15,6 +15,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 
 from .covers import cover_general
@@ -265,26 +266,25 @@ def format_report(report: SearchReport) -> str:
 
 # -- the search engine ---------------------------------------------------------
 
-# worker state inherited through fork; set immediately before the pool starts
-_STATE: dict = {}
-
-
-def _eval_chunk(span: tuple[int, int]):
+def _eval_chunk(job: dict, span: tuple[int, int]):
+    """Evaluate the coloring ordinals lo..hi-1 of a search `job`: the state
+    enumerate_colorings builds, passed to pool workers with each chunk."""
     lo, hi = span
-    n = _STATE["n"]
-    r = _STATE["r"]
-    pairs = _STATE["pairs"]
-    predicate = _STATE["predicate"]
-    collect = _STATE["collect"]
-    sample_seed = _STATE["sample_seed"]
+    n = job["n"]
+    r = job["r"]
+    pairs = job["pairs"]
+    predicate = job["predicate"]
+    collect = job["collect"]
+    sample_seed = job["sample_seed"]
+    exhaustive = job["mode"] == "exhaustive"
     m = len(pairs)
     ok = fail = 0
     hist: Counter = Counter()
     best = None  # (badness, ordinal, colors)
-    if _STATE["mode"] == "exhaustive":
-        digits = _rgs_unrank(lo, m, r, _STATE["ways"])
+    if exhaustive:
+        digits = _rgs_unrank(lo, m, r, job["ways"])
     for ordinal in range(lo, hi):
-        if _STATE["mode"] == "sample":
+        if not exhaustive:
             rng = random.Random(sample_seed * (1 << 32) + ordinal)
             digits = _canonicalize([rng.randrange(r) for _ in range(m)])
         colors = tuple(d + 1 for d in digits)
@@ -298,7 +298,7 @@ def _eval_chunk(span: tuple[int, int]):
             hist[badness] += 1
         if best is None or badness > best[0]:
             best = (badness, ordinal, colors)
-        if _STATE["mode"] == "exhaustive" and ordinal + 1 < hi:
+        if exhaustive and ordinal + 1 < hi:
             _rgs_next(digits, r)
     return ok, fail, best, hist
 
@@ -341,6 +341,8 @@ def enumerate_colorings(
         raise ValueError(f"r must be >= 1, got {r}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     m = len(host.edge_color)
     if mode == "exhaustive":
         scope = count_canonical(m, r)
@@ -352,8 +354,7 @@ def enumerate_colorings(
         raise ValueError(f"unknown mode {mode!r}; use exhaustive or sample")
     evaluated = min(scope, budget)
     collect = getattr(predicate, "histogram", False)
-    _STATE.clear()
-    _STATE.update(
+    job = dict(
         n=host.n,
         r=r,
         pairs=tuple(sorted(host.edge_color)),
@@ -365,14 +366,14 @@ def enumerate_colorings(
     )
     if evaluated == 0:
         results = []
-    elif jobs <= 1:
-        results = [_eval_chunk((0, evaluated))]
+    elif jobs == 1:
+        results = [_eval_chunk(job, (0, evaluated))]
     else:
         chunks = min(evaluated, jobs * 4)
         step = -(-evaluated // chunks)
         spans = [(lo, min(lo + step, evaluated)) for lo in range(0, evaluated, step)]
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_eval_chunk, spans)
+            results = pool.map(partial(_eval_chunk, job), spans)
     ok, fail, best, hist = _merge(results)
     return SearchReport(
         host=f"n={host.n} m={m}",

@@ -54,6 +54,16 @@ def mono_edge_pairs(G: ColoredGraph, color: int, vertices) -> list[tuple[int, in
     ]
 
 
+def spanning_color(G: ColoredGraph, mask: int) -> tuple[int, float]:
+    """Reference for classify._spanning_mono_within: (color, diameter) of the
+    color whose subgraph induced on the mask has the smaller Floyd-Warshall
+    diameter, color 1 on ties."""
+    verts = [v for v in range(G.n) if mask >> v & 1]
+    d1 = fw_diameter(len(verts), mono_edge_pairs(G, 1, verts))
+    d2 = fw_diameter(len(verts), mono_edge_pairs(G, 2, verts))
+    return (2, d2) if d2 < d1 else (1, d1)
+
+
 def brute_alpha(G: ColoredGraph) -> int:
     best = 0
     for k in range(G.n, 0, -1):

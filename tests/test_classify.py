@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import complete_colored
+from conftest import complete_colored, spanning_color
 from monocover.classify import (
     DiamPattern,
+    _classify_within,
+    _spanning_mono_within,
     check_house_membership,
     classify_complete,
     double_star_bases,
@@ -168,3 +171,33 @@ def test_spanning_mono_small_diameter_examples():
     H = house_skeleton()
     comp = spanning_mono_small_diameter(H)
     assert comp.color == 1 and comp.bound <= 2
+
+
+def classifier_color(verdict):
+    """The spanning color a classifier verdict implies: the house color, the
+    double-star color of THREE_TWO, and color 1 when the diameters agree."""
+    if verdict.case is DiamPattern.OVER_THREE:
+        return verdict.house.house_color
+    if verdict.case is DiamPattern.THREE_TWO:
+        return verdict.double_star_color
+    return 1
+
+
+def test_spanning_color_is_the_smaller_diameter():
+    for n in range(1, 7):
+        for G in all_two_colorings(n):
+            expected = spanning_color(G, G.full_mask)
+            assert _spanning_mono_within(G, G.full_mask) == expected
+            if n >= 2:
+                assert classifier_color(classify_complete(G)) == expected[0]
+    rng = random.Random(4242)
+    for n in range(8, 25):
+        for _ in range(12):
+            p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            G = build_graph(n, 2, [(u, v, 1 if rng.random() < p else 2) for u, v in pairs])
+            mask = rng.getrandbits(n) or 1
+            expected = spanning_color(G, mask)
+            assert _spanning_mono_within(G, mask) == expected, (n, mask)
+            if mask & (mask - 1):
+                assert classifier_color(_classify_within(G, mask)) == expected[0]

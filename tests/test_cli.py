@@ -1,6 +1,11 @@
+import contextlib
 import io
+import re
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocover.cli import run
 from monocover.generators import gen_antihole, gen_p42
@@ -221,6 +226,14 @@ def test_usage_errors(capsys, monkeypatch):
         capsys, monkeypatch, ["oracle", "--min-cover", "2", "--jobs", "4"], stdin_text=format_graph(gen_p42(1))
     )
     assert code == 2 and "--jobs" in err
+    for jobs in ("0", "-3"):
+        code, out, err = invoke(
+            capsys,
+            monkeypatch,
+            ["search", "--colors", "2", "--predicate", "has-bounds-cover:3,3", "--jobs", jobs],
+            stdin_text=format_graph(gen_p42(1)),
+        )
+        assert code == 2 and out == "" and "error: jobs must be >= 1" in err
 
 
 def test_non_integer_token_names_its_line(tmp_path, capsys, monkeypatch):
@@ -251,11 +264,56 @@ def test_input_errors_name_the_input_line(capsys, monkeypatch):
         (["classify"], "3 2\n0 1 3\n", "line 2: color 3 out of range"),
         (["classify"], "# header next\n-1 2\n", "line 2: vertex count must be nonnegative"),
         (["verify"], "3 2\n0 1 1\n0 1 2\n---\n1\n1 1: 0 1 2\n", "line 3: conflicting colors"),
+        (["verify"], "2 1\n0 1 1\n---\n1\n1 1: -1 0\n", "line 5: vertex -1 below 0"),
+        (["verify"], "2 1\n0 1 1\n---\n1\n0 1: 0 1\n", "line 5: color 0 below 1"),
+        (["verify"], "2 1\n0 1 1\n---\n# log: x\n1\n1 -1: 0 1\n", "line 6: bound -1 below 0"),
     ]
     for argv, text, message in cases:
         code, out, err = invoke(capsys, monkeypatch, argv, stdin_text=text)
         assert code == 2 and out == "", text
         assert f"error: {message}" in err, (text, err)
+
+
+small_int = st.integers(-2, 4).map(str)
+component_line = st.builds(
+    lambda c, d, vs: f"{c} {d}: {' '.join(vs)}", small_int, small_int, st.lists(small_int, max_size=4)
+)
+junk_line = st.one_of(
+    small_int,
+    st.sampled_from(["", "# log: note", "1 1 0 1", "x 1: 0", "1 1: y", "1 2 3: 0", ":"]),
+    st.text(max_size=8),
+)
+# errors about the certificate as a whole, or about one component against
+# the graph (verify_cover's range checks), rather than about one input line
+WHOLE_DOCUMENT = ("empty certificate document", "certificate announces", "component ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(component_line, max_size=4),
+    st.one_of(st.none(), small_int),
+    st.lists(st.tuples(st.integers(0, 5), junk_line), max_size=2),
+)
+def test_verify_fuzzed_certificates_exit_cleanly(components, count, junk):
+    # the count is right unless drawn, so most streams reach verify_cover
+    lines = [str(len(components)) if count is None else count, *components]
+    for at, line in junk:
+        lines.insert(at, line)
+    text = "3 2\n0 1 1\n1 2 2\n---\n" + "\n".join(lines) + "\n"
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["verify"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2), text
+    if code == 2:
+        message = err.getvalue()
+        assert re.match(r"error: line \d+: ", message) or any(
+            message.startswith(f"error: {prefix}") for prefix in WHOLE_DOCUMENT
+        ), (text, message)
 
 
 def test_search_distribution_samples(capsys, monkeypatch):

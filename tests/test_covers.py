@@ -270,37 +270,51 @@ def test_cover_general_matches_alpha2_path():
 
 
 def _count_alpha_calls(monkeypatch, G):
-    """cover_general(G), counting independence_number calls and the graphs
-    _cover_general_inner handles."""
-    calls = {"alpha": 0, "inner": 0}
+    """cover_general(G), counting independence_number calls and recording
+    the graphs _cover_general_inner handles."""
+    alpha_calls = []
+    inner_graphs = []
+    real_alpha, real_inner = covers.independence_number, covers._cover_general_inner
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def alpha(H):
+        alpha_calls.append(H)
+        return real_alpha(H)
 
-    monkeypatch.setattr(covers, "independence_number", counted("alpha", covers.independence_number))
-    monkeypatch.setattr(covers, "_cover_general_inner", counted("inner", covers._cover_general_inner))
+    def inner(H):
+        inner_graphs.append(H)
+        return real_inner(H)
+
+    monkeypatch.setattr(covers, "independence_number", alpha)
+    monkeypatch.setattr(covers, "_cover_general_inner", inner)
     cert = cover_general(G)
-    return calls, cert
+    return len(alpha_calls), inner_graphs, cert
+
+
+def has_independent_triple(G):
+    return any(
+        not (G.has_edge(u, v) or G.has_edge(u, w) or G.has_edge(v, w))
+        for u, v, w in itertools.combinations(range(G.n), 3)
+    )
 
 
 def test_cover_general_computes_alpha_once_per_graph(monkeypatch):
+    # complete and alpha = 2 graphs are recognized from the complement alone
     K9 = build_graph(9, 2, [(u, v, 1 + (u * v) % 2) for u in range(9) for v in range(u + 1, 9)])
-    assert _count_alpha_calls(monkeypatch, K9)[0] == {"alpha": 1, "inner": 1}
+    alpha_calls, inner_graphs, _ = _count_alpha_calls(monkeypatch, K9)
+    assert (alpha_calls, len(inner_graphs)) == (0, 1)
     for seed in range(10):
-        G = gen_random_alpha2(12 + seed, 0.5, seed=60_000 + seed)
-        assert _count_alpha_calls(monkeypatch, G)[0] == {"alpha": 1, "inner": 1}
-        assert _count_alpha_calls(monkeypatch, recolor(gen_antihole(2 + seed % 4), seed))[0] == {
-            "alpha": 1, "inner": 1}
+        alpha2 = gen_random_alpha2(12 + seed, 0.5, seed=60_000 + seed)
+        for G in (alpha2, recolor(gen_antihole(2 + seed % 4), seed)):
+            alpha_calls, inner_graphs, _ = _count_alpha_calls(monkeypatch, G)
+            assert (alpha_calls, len(inner_graphs)) == (0, 1)
     for seed in range(5):
         G = rand_colored(40, 0.15, seed=80_000 + seed)
-        calls, cert = _count_alpha_calls(monkeypatch, G)
+        alpha_calls, inner_graphs, cert = _count_alpha_calls(monkeypatch, G)
         # each peel level that leaves a residual graph prefixes its log once more
         levels = max(entry.count("residual: ") for entry in cert.build_log)
-        assert levels >= 1
-        assert calls == {"alpha": 1 + levels, "inner": 1 + levels}
+        assert levels >= 1 and len(inner_graphs) == 1 + levels
+        # alpha is computed once for each of those graphs that has alpha >= 3
+        assert alpha_calls == sum(map(has_independent_triple, inner_graphs))
 
 
 def test_cover_alpha2_skips_alpha_on_valid_input(monkeypatch):

@@ -1,8 +1,10 @@
 import itertools
+import multiprocessing
 import random
 
 import pytest
 
+from monocover import search
 from monocover.generators import gen_antihole, gen_matching_complement, gen_p42
 from monocover.graph import build_graph
 from monocover.oracle import exists_bounds_cover, min_cover_exact
@@ -107,6 +109,21 @@ def test_parallel_reports_identical():
     h1, r1 = min_cover_distribution(host2, 2, 2, jobs=1)
     h2, r2 = min_cover_distribution(host2, 2, 2, jobs=4)
     assert h1 == h2 and r1 == r2
+
+
+def test_chunks_through_a_spawn_pool_match_serial(monkeypatch):
+    # a spawned worker inherits no memory: it gets its state with each chunk
+    spawn = multiprocessing.get_context("spawn")
+
+    class OneSpawnWorker:
+        def Pool(self, _jobs):
+            return spawn.Pool(1)
+
+    monkeypatch.setattr(search, "get_context", lambda _method: OneSpawnWorker())
+    host = complete_host(5)
+    h1, serial = min_cover_distribution(host, 2, 2, jobs=1)
+    h2, pooled = min_cover_distribution(host, 2, 2, jobs=3)
+    assert h1 == h2 and pooled == serial and pooled.jobs == 3
 
 
 def test_budget_cuts_run_partial():
