@@ -3,8 +3,9 @@
 Commands read a graph from stdin (or --in FILE) and compose through pipes:
 `cover` emits the graph, a separator line, and the certificate on stdout, and
 `verify` accepts that combined stream. Exit codes: 0 success or accept,
-1 verification reject or predicate counterexample, 2 usage or input error,
-3 budget or size limit exceeded.
+1 verification reject or predicate counterexample, 2 usage or input error
+(or a predicate fault, named by its coloring), 3 budget or size limit
+exceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .classify import DiamPattern, classify_complete
 from .covers import (
-    ProofAssertionError,
+    CLIQUES_MAX_N,
     cover_alpha2,
     cover_general,
     cover_stars,
@@ -37,8 +38,9 @@ from .graph import (
     parse_graph,
     verify_cover,
 )
-from .oracle import exists_bounds_cover, min_cover_exact
+from .oracle import DEFAULT_MAX_N, exists_bounds_cover, min_cover_exact
 from .search import (
+    DEFAULT_BUDGET,
     ConstructiveMatchesOracle,
     HasBoundsCover,
     MinCoverAtMost,
@@ -321,7 +323,7 @@ def _build_parser() -> _Parser:
         "--out",
         help="write the bare certificate here instead of the combined stream on stdout",
     )
-    cover.add_argument("--max-n", type=int, default=24, help="size limit for --method cliques")
+    cover.add_argument("--max-n", type=int, default=CLIQUES_MAX_N, help="size limit for --method cliques")
     cover.set_defaults(func=_cmd_cover)
 
     verify = sub.add_parser("verify", help="check a certificate against a graph")
@@ -332,10 +334,14 @@ def _build_parser() -> _Parser:
     oracle = sub.add_parser("oracle", help="exact brute-force cover questions")
     group = oracle.add_mutually_exclusive_group(required=True)
     group.add_argument("--min-cover", type=int, metavar="D", help="minimum cover size at diameter bound D")
-    group.add_argument("--bounds", metavar="D1,D2,...", help="find a cover with these exact per-component bounds")
+    group.add_argument(
+        "--bounds",
+        metavar="D1,D2,...",
+        help="find a cover with at most one component per bound, each within its bound",
+    )
     oracle.add_argument("--in", help="graph file (default: stdin)")
     oracle.add_argument("--out", help="certificate output file")
-    oracle.add_argument("--max-n", type=int, default=18, help="exact-solver size limit")
+    oracle.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="exact-solver size limit")
     oracle.set_defaults(func=_cmd_oracle)
 
     search = sub.add_parser("search", help="evaluate a predicate over the colorings of a host graph")
@@ -345,7 +351,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     search.add_argument("--samples", type=int, default=0, help="sample count for --mode sample")
     search.add_argument("--seed", type=int, default=0, help="sampling seed")
-    search.add_argument("--budget", type=int, default=1 << 26, help="max predicate evaluations")
+    search.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max predicate evaluations")
     search.add_argument("--jobs", type=int, default=1, help="worker processes")
     search.set_defaults(func=_cmd_search)
 
@@ -366,7 +372,7 @@ def run(argv=None) -> int:
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ValueError, OSError, ProofAssertionError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,6 +33,8 @@ from .graph import (
     vertex_set,
 )
 
+CLIQUES_MAX_N = 24
+
 
 class ProofAssertionError(RuntimeError):
     """A property guaranteed by the underlying proof failed at runtime.
@@ -716,7 +718,7 @@ def _two_clique_certificate(G: ColoredGraph, split: tuple[frozenset[int], frozen
     return _certificate(G, pieces, notes, "two-cliques")
 
 
-def cover_via_cliques(G: ColoredGraph, max_n: int = 24) -> CoverCertificate:
+def cover_via_cliques(G: ColoredGraph, max_n: int = CLIQUES_MAX_N) -> CoverCertificate:
     """Exact minimum clique partition, then one small-diameter spanning color
     per clique; the component count equals the clique cover number."""
     if G.r != 2:

@@ -224,12 +224,12 @@ def mono_diameter(G: ColoredGraph, color: int, vertices: Iterable[int]):
     """
     if not (1 <= color <= G.r):
         raise ValueError(f"color {color} out of range 1..{G.r}")
-    mask = mask_of(vertices)
-    if mask == 0:
+    vertices = frozenset(vertices)
+    if not vertices:
         raise ValueError("diameter of the empty vertex set is undefined")
-    if mask & ~G.full_mask:
+    if min(vertices) < 0 or max(vertices) >= G.n:
         raise ValueError("vertex out of range")
-    return _mask_diameter(G.color_rows[color - 1], mask)
+    return _mask_diameter(G.color_rows[color - 1], mask_of(vertices))
 
 
 # -- independence --------------------------------------------------------
@@ -356,9 +356,9 @@ def verify_cover(G: ColoredGraph, cert: CoverCertificate) -> CoverVerdict:
     for i, comp in enumerate(cert.components):
         if not (1 <= comp.color <= G.r):
             raise ValueError(f"component {i}: color {comp.color} out of range 1..{G.r}")
-        m = comp.mask()
-        if m & ~G.full_mask:
+        if min(comp.vertices) < 0 or max(comp.vertices) >= G.n:
             raise ValueError(f"component {i}: vertex out of range for n={G.n}")
+        m = comp.mask()
         d = _mask_diameter(G.color_rows[comp.color - 1], m)
         if d > comp.bound:
             shown = "unreachable" if d is UNREACHABLE else str(d)

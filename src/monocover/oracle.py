@@ -1,15 +1,17 @@
 """Exact brute-force cover oracles at desk scale.
 
 Enumerates, per color, all vertex sets whose induced color subgraph has
-diameter at most d, keeps only the inclusion-maximal ones, and answers two
-exact questions over that family: the minimum number of components covering
-all vertices, and whether a cover with prescribed per-component bounds
-exists. Restricting to maximal candidates is lossless because any cover
-component extends to a maximal candidate of the same color and bound.
+diameter at most d, and keeps only the inclusion-maximal ones. One search
+over those families answers two exact questions: the minimum number of
+diameter-<=d components covering all vertices, and whether a cover exists
+with at most one component per prescribed bound. Restricting to maximal
+candidates is lossless because any cover component lies inside a maximal
+candidate of the same color and bound.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import (
@@ -19,6 +21,7 @@ from .graph import (
     LimitExceeded,
     _mask_diam_le,
     _mask_diameter,
+    bits,
     mask_of,
     vertex_set,
 )
@@ -35,11 +38,6 @@ class CandidateFamily:
 
     def __len__(self) -> int:
         return len(self.candidates)
-
-
-def _check_size(G: ColoredGraph, max_n: int) -> None:
-    if G.n > max_n:
-        raise LimitExceeded(f"n={G.n} exceeds the oracle size limit {max_n}")
 
 
 def _qualifying_supersets(rows: list[int], n: int, d: int):
@@ -66,7 +64,8 @@ def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> C
     sorted by (color, vertex mask)."""
     if d < 0:
         raise ValueError(f"diameter bound must be >= 0, got {d}")
-    _check_size(G, max_n)
+    if G.n > max_n:
+        raise LimitExceeded(f"n={G.n} exceeds the oracle size limit {max_n}")
     out: list[tuple[int, int]] = []
     for color in range(1, G.r + 1):
         rows = G.color_rows[color - 1]
@@ -86,130 +85,112 @@ def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> C
     return CandidateFamily(d, tuple((c, vertex_set(m)) for c, m in out))
 
 
+def _families(G: ColoredGraph, bounds, max_n: int):
+    """Per distinct bound d, the maximal candidates as (color, mask) pairs and
+    the candidate indexes through each vertex; per vertex, the union of the
+    largest bound's candidates through it."""
+    fams: dict[int, list[tuple[int, int]]] = {}
+    through: dict[int, list[list[int]]] = {}
+    for d in sorted(set(bounds)):
+        fams[d] = fam = [(c, mask_of(vs)) for c, vs in maximal_candidates(G, d, max_n).candidates]
+        through[d] = lists = [[] for _ in range(G.n)]
+        cover_of = [0] * G.n  # kept from the last, largest bound
+        for idx, (_c, m) in enumerate(fam):
+            for v in bits(m):
+                lists[v].append(idx)
+                cover_of[v] |= m
+    return fams, through, cover_of
+
+
+def _search(full: int, fams, through, cover_of, slots) -> list[tuple[int, int]] | None:
+    """Picks [(bound d, index into fams[d]), ...] in search order that cover
+    `full` with at most slots[d] candidates of each bound d, or None.
+
+    Branches on the lowest uncovered vertex v (some component of any cover
+    contains it): each bound with a slot left, ascending, then its candidates
+    through v. Prunes when more vertices are pairwise uncoverable than slots
+    are left, read off the largest bound's family: a set of diameter <= d
+    lies in a maximal set of the same color for every larger bound.
+    """
+    left = dict(slots)
+    order = sorted(left)
+    picks: list[tuple[int, int]] = []
+
+    def dfs(cov: int, total: int) -> bool:
+        if cov == full:
+            return True
+        rem = full & ~cov
+        v = (rem & -rem).bit_length() - 1
+        k = 0
+        while rem and k <= total:
+            k += 1
+            rem &= ~cover_of[(rem & -rem).bit_length() - 1]
+        if k > total:
+            return False
+        for d in order:
+            if left[d]:
+                left[d] -= 1
+                fam = fams[d]
+                for idx in through[d][v]:
+                    picks.append((d, idx))
+                    if dfs(cov | fam[idx][1], total - 1):
+                        return True
+                    picks.pop()
+                left[d] += 1
+        return False
+
+    return picks if dfs(0, sum(left.values())) else None
+
+
+def _component(G: ColoredGraph, c: int, m: int) -> CoverComponent:
+    return CoverComponent(c, vertex_set(m), _mask_diameter(G.color_rows[c - 1], m))
+
+
 def min_cover_exact(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> tuple[int, CoverCertificate]:
     """The exact minimum number of monochromatic diameter-<=d components
     covering V, with a certificate attaining it.
 
-    Branch and bound over the maximal-candidate family: greedy upper bound,
-    pairwise-uncoverable lower bound, branching on the lowest-index uncovered
-    vertex. Component bounds record the tightest achieved diameters.
+    Starts from a greedy cover (largest gain, lowest index on ties), then asks
+    the search for a cover with one component fewer until there is none.
+    Component bounds record the tightest achieved diameters.
     """
-    fam = maximal_candidates(G, d, max_n)
+    fams, through, cover_of = _families(G, [d], max_n)
     full = G.full_mask
     if full == 0:
         return 0, CoverCertificate((), (f"empty graph: zero components at diameter bound {d}",))
-    cand = [(c, mask_of(vs)) for c, vs in fam.candidates]
-    masks = [m for _c, m in cand]
-    through: list[list[int]] = [[] for _ in range(G.n)]
-    cover_of = [0] * G.n
-    for idx, m in enumerate(masks):
-        mm = m
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            v = b.bit_length() - 1
-            through[v].append(idx)
-            cover_of[v] |= m
-
-    chosen: list[int] = []
+    cand = fams[d]
+    best: list[int] = []
     covered = 0
     while covered != full:
-        best_idx = -1
-        best_gain = -1
-        for idx, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_idx = gain, idx
-        chosen.append(best_idx)
-        covered |= masks[best_idx]
-    best = list(chosen)
-
-    def lower_bound(cov: int) -> int:
-        rem = full & ~cov
-        k = 0
-        while rem:
-            b = rem & -rem
-            k += 1
-            rem &= ~cover_of[b.bit_length() - 1]
-        return k
-
-    state: list[int] = []
-
-    def dfs(cov: int) -> None:
-        nonlocal best
-        if cov == full:
-            if len(state) < len(best):
-                best = list(state)
-            return
-        if len(state) + lower_bound(cov) >= len(best):
-            return
-        pivot = full & ~cov
-        v = (pivot & -pivot).bit_length() - 1
-        for idx in through[v]:
-            state.append(idx)
-            dfs(cov | masks[idx])
-            state.pop()
-
-    dfs(0)
-    comps = []
-    for idx in best:
-        c, m = cand[idx]
-        comps.append(CoverComponent(c, vertex_set(m), _mask_diameter(G.color_rows[c - 1], m)))
+        best.append(max(range(len(cand)), key=lambda i: (cand[i][1] & ~covered).bit_count()))
+        covered |= cand[best[-1]][1]
+    while (picks := _search(full, fams, through, cover_of, {d: len(best) - 1})) is not None:
+        best = [idx for _d, idx in picks]
+    comps = tuple(_component(G, *cand[idx]) for idx in best)
     log = (f"exact minimum at diameter bound {d} over {len(cand)} maximal candidates",)
-    return len(best), CoverCertificate(tuple(comps), log)
+    return len(best), CoverCertificate(comps, log)
 
 
-def exists_bounds_cover(
-    G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT_MAX_N
-) -> CoverCertificate | None:
-    """A cover whose i-th component has diameter at most bounds[i], or None.
-
-    Exact search over tuples of maximal candidates, one family per distinct
-    bound; runs of equal consecutive bounds only explore non-decreasing
-    candidate indices. Component bounds record achieved diameters.
-    """
+def exists_bounds_cover(G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT_MAX_N) -> CoverCertificate | None:
+    """A cover with at most one component per entry of `bounds`, each within
+    its entry's diameter bound, or None. Components are pairwise distinct and
+    in the order of their entries (an unused entry gets none); their bounds
+    record the achieved diameters."""
     bounds = list(bounds)
     if not bounds:
         raise ValueError("bounds list must not be empty")
     for d in bounds:
         if d < 0:
             raise ValueError(f"diameter bound must be >= 0, got {d}")
-    _check_size(G, max_n)
+    fams, through, cover_of = _families(G, bounds, max_n)
     if G.full_mask == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",))
-    fams: dict[int, list[tuple[int, int]]] = {}
-    for d in sorted(set(bounds)):
-        fam = maximal_candidates(G, d, max_n)
-        fams[d] = [(c, mask_of(vs)) for c, vs in fam.candidates]
-    k = len(bounds)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        u = suffix[i + 1]
-        for _c, m in fams[bounds[i]]:
-            u |= m
-        suffix[i] = u
-    full = G.full_mask
-    pick: list[int] = []
-
-    def dfs(i: int, cov: int) -> bool:
-        if i == k:
-            return cov == full
-        if cov | suffix[i] != full:
-            return False
-        cands = fams[bounds[i]]
-        start = pick[i - 1] if i > 0 and bounds[i] == bounds[i - 1] else 0
-        for idx in range(start, len(cands)):
-            pick.append(idx)
-            if dfs(i + 1, cov | cands[idx][1]):
-                return True
-            pick.pop()
-        return False
-
-    if not dfs(0, 0):
+    picks = _search(G.full_mask, fams, through, cover_of, Counter(bounds))
+    if picks is None:
         return None
-    comps = []
-    for i, idx in enumerate(pick):
-        c, m = fams[bounds[i]][idx]
-        comps.append(CoverComponent(c, vertex_set(m), _mask_diameter(G.color_rows[c - 1], m)))
+    # each pick takes the first unused entry with its bound
+    free = {d: [i for i in reversed(range(len(bounds))) if bounds[i] == d] for d in fams}
+    placed = sorted((free[d].pop(), fams[d][idx]) for d, idx in picks)
+    comps = tuple(_component(G, c, m) for _i, (c, m) in placed)
     log = (f"cover with per-component bounds {bounds} over maximal candidates",)
-    return CoverCertificate(tuple(comps), log)
+    return CoverCertificate(comps, log)

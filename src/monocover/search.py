@@ -19,7 +19,7 @@ from functools import partial
 from multiprocessing import get_context
 
 from .covers import cover_general
-from .graph import ColoredGraph, build_graph
+from .graph import ColoredGraph, LimitExceeded, build_graph
 from .oracle import exists_bounds_cover, min_cover_exact
 
 DEFAULT_BUDGET = 1 << 26
@@ -268,7 +268,9 @@ def format_report(report: SearchReport) -> str:
 
 def _eval_chunk(job: dict, span: tuple[int, int]):
     """Evaluate the coloring ordinals lo..hi-1 of a search `job`: the state
-    enumerate_colorings builds, passed to pool workers with each chunk."""
+    enumerate_colorings builds, passed to pool workers with each chunk. A
+    predicate fault other than LimitExceeded comes back as a RuntimeError
+    that names the coloring (message only, so it pickles from a worker)."""
     lo, hi = span
     n = job["n"]
     r = job["r"]
@@ -289,7 +291,13 @@ def _eval_chunk(job: dict, span: tuple[int, int]):
             digits = _canonicalize([rng.randrange(r) for _ in range(m)])
         colors = tuple(d + 1 for d in digits)
         G = ColoredGraph(n, r, dict(zip(pairs, colors)))
-        passed, badness = predicate.evaluate(G)
+        try:
+            passed, badness = predicate.evaluate(G)
+        except LimitExceeded:
+            raise
+        except Exception as exc:
+            shown = ",".join(map(str, colors))
+            raise RuntimeError(f"coloring ordinal {ordinal}, colors {shown}: {type(exc).__name__}: {exc}") from exc
         if passed:
             ok += 1
         else:

@@ -1,6 +1,7 @@
 """Shared test helpers: independent reference implementations kept
 deliberately naive so they cannot share bugs with the package code."""
 
+import functools
 import itertools
 import random
 
@@ -82,6 +83,22 @@ def qualifying_masks(G: ColoredGraph, color: int, d: int) -> list[int]:
         if fw_diameter(len(verts), mono_edge_pairs(G, color, verts)) <= d:
             out.append(m)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _qualifying_any_color(G: ColoredGraph, d: int) -> frozenset[int]:
+    return frozenset(m for color in range(1, G.r + 1) for m in qualifying_masks(G, color, d))
+
+
+def bounds_cover_reachable(G: ColoredGraph, bounds) -> bool:
+    """Reference for oracle.exists_bounds_cover: whether V is covered by at
+    most one qualifying set (of any color) per bound. Folds the bounds left
+    to right over the covered-vertex masks reachable so far, each bound
+    adding one of its qualifying sets or nothing."""
+    reach = {0}
+    for d in bounds:
+        reach |= {cov | m for cov in reach for m in _qualifying_any_color(G, d)}
+    return (1 << G.n) - 1 in reach
 
 
 def dp_min_cover(G: ColoredGraph, d: int) -> int:

@@ -148,7 +148,7 @@ def test_oracle_bounds_exit_codes(capsys, monkeypatch):
         capsys, monkeypatch, ["oracle", "--bounds", "3,3"], stdin_text=antihole
     )
     assert code == 0
-    assert len(parse_certificate(out)) == 2
+    assert len(parse_certificate(out)) == 1  # color 1 spans with diameter 3
     code, _, err = invoke(
         capsys, monkeypatch, ["oracle", "--bounds", "2,2"], stdin_text=antihole
     )

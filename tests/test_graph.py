@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,24 @@ def test_verify_cover_accepts_and_rejects():
         verify_cover(G, CoverCertificate((CoverComponent(3, frozenset({0}), 0),)))
     with pytest.raises(ValueError):
         verify_cover(G, CoverCertificate((CoverComponent(1, frozenset({9}), 0),)))
+
+
+def test_vertex_range_is_checked_before_any_mask():
+    # a mask holding vertex 10**9 would be a 125 MB integer
+    G = build_graph(2, 1, [(0, 1, 1)])
+    far = CoverCertificate((CoverComponent(1, frozenset({0}), 0), CoverComponent(1, frozenset({1, 10**9}), 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^component 1: vertex out of range for n=2$"):
+            verify_cover(G, far)
+        with pytest.raises(ValueError, match="^vertex out of range$"):
+            mono_diameter(G, 1, [0, 10**9])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match=r"^component 0: vertex out of range for n=2$"):
+        verify_cover(G, CoverCertificate((CoverComponent(1, frozenset({-1, 0}), 1),)))
 
 
 def test_is_complement_bipartite():

@@ -1,8 +1,11 @@
+import hashlib
+import itertools
+
 import pytest
 
-from conftest import dp_min_cover, qualifying_masks, rand_colored
+from conftest import bounds_cover_reachable, dp_min_cover, qualifying_masks, rand_colored
 from monocover.generators import gen_antihole, gen_k7_triple, gen_p42
-from monocover.graph import LimitExceeded, build_graph, verify_cover
+from monocover.graph import LimitExceeded, build_graph, format_certificate, verify_cover
 from monocover.oracle import exists_bounds_cover, maximal_candidates, min_cover_exact
 
 
@@ -33,6 +36,21 @@ def test_min_cover_agrees_with_reference():
             assert verify_cover(G, cert)
             assert len(cert) == k
             assert all(c.bound <= d for c in cert.components)
+
+
+FROZEN_MIN_COVER_DIGEST = "fa8617418a8bf4748ddbaf70410abc85bc57333138d17bce0519b1cf5699143c"
+
+
+def test_min_cover_certificates_frozen():
+    """min_cover_exact's certificates (which minimum cover, in which order)
+    are byte-identical to the frozen digest over a seeded corpus."""
+    digest = hashlib.sha256()
+    for seed in range(400):
+        G = rand_colored(1 + seed % 10, 0.2 + 0.8 * (seed % 5) / 4, seed=7700 + seed, r=2 + seed % 3 // 2)
+        for d in range(5):
+            k, cert = min_cover_exact(G, d)
+            digest.update(f"{k}\n{format_certificate(cert)}\0".encode())
+    assert digest.hexdigest() == FROZEN_MIN_COVER_DIGEST
 
 
 def test_min_cover_monotone_in_d():
@@ -76,7 +94,10 @@ def test_exists_bounds_cover_basics():
     assert exists_bounds_cover(A, [2, 2]) is None
     cert = exists_bounds_cover(A, [3, 3])
     assert cert is not None and verify_cover(A, cert)
-    assert len(cert) == 2
+    # color 1 spans the 7-antihole with diameter 3: one component, no repeats
+    assert len(cert) == 1
+    cert = exists_bounds_cover(A, [4, 4, 4])
+    assert len(cert) == 1 and cert.components[0].vertices == frozenset(range(7))
     # order of bounds does not change existence
     got = exists_bounds_cover(A, [2, 3])
     same = exists_bounds_cover(A, [3, 2])
@@ -91,6 +112,26 @@ def test_exists_bounds_cover_basics():
 
     with pytest.raises(ValueError):
         exists_bounds_cover(P, [])
+
+
+def test_exists_bounds_cover_matches_reference():
+    lists = [list(t) for k in (1, 2, 3) for t in itertools.product(range(4), repeat=k)]
+    answers = set()
+    for seed in range(150):
+        n = seed % 8
+        G = rand_colored(n, 0.3 + 0.6 * (seed % 5) / 4, seed=6100 + seed, r=2 + seed % 3 // 2)
+        for bounds in lists:
+            cert = exists_bounds_cover(G, bounds)
+            answers.add(cert is not None)
+            assert (cert is not None) == bounds_cover_reachable(G, bounds), (seed, bounds)
+            if cert is None:
+                continue
+            assert verify_cover(G, cert)
+            assert len({(c.color, c.vertices) for c in cert.components}) == len(cert) <= len(bounds)
+            # the achieved diameters fit distinct entries of bounds
+            got = sorted(cert.bounds(), reverse=True)
+            assert all(b <= d for b, d in zip(got, sorted(bounds, reverse=True))), (seed, bounds)
+    assert answers == {True, False}
 
 
 def test_exists_bounds_cover_matches_min_cover():

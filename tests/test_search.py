@@ -1,12 +1,13 @@
+import io
 import itertools
 import multiprocessing
 import random
 
 import pytest
 
-from monocover import search
+from monocover import cli, search
 from monocover.generators import gen_antihole, gen_matching_complement, gen_p42
-from monocover.graph import build_graph
+from monocover.graph import LimitExceeded, build_graph, format_graph
 from monocover.oracle import exists_bounds_cover, min_cover_exact
 from monocover.search import (
     ConstructiveMatchesOracle,
@@ -124,6 +125,41 @@ def test_chunks_through_a_spawn_pool_match_serial(monkeypatch):
     h1, serial = min_cover_distribution(host, 2, 2, jobs=1)
     h2, pooled = min_cover_distribution(host, 2, 2, jobs=3)
     assert h1 == h2 and pooled == serial and pooled.jobs == 3
+
+
+class FailsOnOneColoring:
+    """Raises on the coloring 1,2,2,1 of a 4-edge host; module level, so a
+    pool worker can unpickle it."""
+
+    name = "fails-on-one-coloring"
+
+    def evaluate(self, G):
+        if tuple(c for _e, c in sorted(G.edge_color.items())) == (1, 2, 2, 1):
+            raise ZeroDivisionError("boom")
+        return True, 0
+
+
+def test_predicate_fault_names_the_coloring(capsys, monkeypatch):
+    host = gen_matching_complement(4)
+    ordinal = brute_canonical(4, 2).index((0, 1, 1, 0))
+    expected = f"coloring ordinal {ordinal}, colors 1,2,2,1: ZeroDivisionError: boom"
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError) as info:
+            enumerate_colorings(host, 2, FailsOnOneColoring(), jobs=jobs)
+        assert str(info.value) == expected, jobs
+
+    # a size limit is not a fault: it passes unchanged and still exits 3
+    big = build_graph(19, 2, [(0, 1, 1)])
+    with pytest.raises(LimitExceeded):
+        enumerate_colorings(big, 2, MinCoverAtMost(2, 1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(big)))
+    assert cli.run(["search", "--colors", "2", "--predicate", "min-cover-atmost:2,1"]) == 3
+    assert capsys.readouterr().err == "error: n=19 exceeds the oracle size limit 18\n"
+
+    monkeypatch.setattr(cli, "_parse_predicate", lambda _text: FailsOnOneColoring())
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(host)))
+    assert cli.run(["search", "--colors", "2", "--predicate", "any"]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_budget_cuts_run_partial():
