@@ -255,13 +255,15 @@ def _parse_predicate(text: str):
 
 
 def _cmd_search(args) -> int:
+    if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
+        raise ValueError("--samples and --seed apply only to --mode sample")
     report = enumerate_colorings(
         _load_graph(args.host),
         args.colors,
         _parse_predicate(args.predicate),
         mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
+        samples=args.samples or 0,
+        seed=args.seed or 0,
         budget=args.budget,
         jobs=args.jobs,
     )
@@ -349,9 +351,11 @@ def _build_parser() -> _Parser:
     search.add_argument("--colors", type=int, required=True, metavar="R", help="number of colors")
     search.add_argument("--predicate", required=True, help="e.g. has-bounds-cover:3,3")
     search.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    search.add_argument("--samples", type=int, default=0, help="sample count for --mode sample")
-    search.add_argument("--seed", type=int, default=0, help="sampling seed")
-    search.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max predicate evaluations")
+    search.add_argument("--samples", type=int, help="sample count for --mode sample")
+    search.add_argument("--seed", type=int, help="sampling seed for --mode sample (default 0)")
+    search.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="max colorings decided (ordinal range)"
+    )
     search.add_argument("--jobs", type=int, default=1, help="worker processes")
     search.set_defaults(func=_cmd_search)
 

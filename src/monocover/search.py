@@ -6,6 +6,16 @@ occurrence (the first edge gets color 1, each later edge one of the colors
 seen so far or the next unused one). Canonical strings are ordered
 lexicographically; their ordinals drive chunking, budgets and witness
 tie-breaks, so reports are identical for any worker count.
+
+A predicate whose class declares `invariant = True` promises the same
+verdict and badness for colorings related by a host automorphism. For such
+a predicate, exhaustive mode decides each orbit of Aut(host) x S_r once: it
+evaluates only the least canonical string of the orbit (its lowest ordinal)
+and credits the verdict to every orbit member inside the decided ordinal
+range. Counts, histograms and witnesses equal those of evaluating every
+ordinal (isomorph rejection, McKay, J. Algorithms 1998). A permutation that
+moves a string below itself by reading only a prefix rules out every string
+with that prefix, so the walk jumps over them by rank.
 """
 
 from __future__ import annotations
@@ -69,6 +79,17 @@ def _rgs_unrank(ordinal: int, m: int, r: int, ways: list[list[int]]) -> list[int
     return digits
 
 
+def _rgs_rank(digits: list[int], ways: list[list[int]]) -> int:
+    """The ordinal of a canonical string; the inverse of _rgs_unrank."""
+    ordinal = 0
+    M = 0
+    for i in range(1, len(digits)):
+        for d in range(digits[i]):
+            ordinal += ways[i + 1][max(M, d)]
+        M = max(M, digits[i])
+    return ordinal
+
+
 def _rgs_next(digits: list[int], r: int) -> bool:
     """Advance to the lexicographically next canonical string, in place."""
     m = len(digits)
@@ -111,6 +132,104 @@ def apply_coloring(host: ColoredGraph, colors: tuple[int, ...], r: int | None = 
     return build_graph(host.n, r, [(u, v, c) for (u, v), c in zip(pairs, colors)])
 
 
+# -- host symmetry -------------------------------------------------------------
+
+_AUTOMORPHISM_CAP = 40320  # 8!; the orbit test costs time linear in the group
+
+
+def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
+    """The host's automorphisms other than the identity, as permutations p of
+    the positions of sorted(host.edge_color): p[i] is the position of the
+    image of edge i. Vertex maps that move no edge (swapping isolated
+    vertices or the ends of an isolated edge) give one permutation. When the
+    group has more than _AUTOMORPHISM_CAP vertex maps, this is the pointwise
+    stabilizer of the fewest leading vertices 0..t-1 that fits; every
+    subgroup keeps orbit-reduced reports exact."""
+    n = host.n
+    adj = host.adj_rows
+    degree = [row.bit_count() for row in adj]
+
+    def stabilizer(fixed: int) -> list[tuple[int, ...]] | None:
+        """Vertex automorphisms fixing 0..fixed-1 and every isolated vertex,
+        by backtracking over vertices in order; None past the cap."""
+        img = [0] * n
+        found = []
+
+        def extend(v: int, used: int) -> bool:
+            if v == n:
+                found.append(tuple(img))
+                return len(found) <= _AUTOMORPHISM_CAP
+            if v < fixed or not adj[v]:
+                img[v] = v
+                return extend(v + 1, used | 1 << v)
+            want = 0  # images of v's neighbours mapped so far
+            back = adj[v] & ((1 << v) - 1)
+            while back:
+                low = back & -back
+                want |= 1 << img[low.bit_length() - 1]
+                back ^= low
+            for w in range(n):
+                if not used >> w & 1 and degree[w] == degree[v] and adj[w] & used == want:
+                    img[v] = w
+                    if not extend(v + 1, used | 1 << w):
+                        return False
+            return True
+
+        return found if extend(0, 0) else None
+
+    fixed = 0
+    while (maps := stabilizer(fixed)) is None:
+        fixed += 1
+    pairs = sorted(host.edge_color)
+    index = {e: i for i, e in enumerate(pairs)}
+    perms = {
+        tuple(index[(s[u], s[v]) if s[u] < s[v] else (s[v], s[u])] for u, v in pairs) for s in maps
+    }
+    perms.discard(tuple(range(len(pairs))))
+    return sorted(perms)
+
+
+def _compare_image(digits: list[int], p: tuple[int, ...], r: int, target) -> int:
+    """Compare the canonical string of `digits` moved by the edge permutation
+    p with `target`: 0 when equal, else -(i+1) or i+1 as the image is below
+    or above it, where i is the first position that differs."""
+    relabel = [-1] * r
+    fresh = 0
+    for i, j in enumerate(p):
+        c = relabel[digits[j]]
+        if c < 0:
+            c = relabel[digits[j]] = fresh
+            fresh += 1
+        if c != target[i]:
+            return -i - 1 if c < target[i] else i + 1
+    return 0
+
+
+def _orbit_weight(digits: list[int], perms, r: int, limit: tuple[int, ...] | None) -> tuple[int, int]:
+    """Orbit test of the canonical string `digits` under the edge
+    permutations `perms` (with the identity, a group) and color relabeling.
+
+    For the least string of its orbit, returns (w, 0): w counts the orbit
+    strings below `limit` (all when None). Each orbit string is the image
+    of as many group elements as fix `digits`, so w is a quotient. Any
+    other string gives (0, k): a permutation moves it below itself reading
+    only its first k digits, so no string sharing them is least either."""
+    # digits < limit, first apart at `split`: an image above digits that
+    # parts from it earlier is above limit, one that parts later is below
+    split = -1 if limit is None else next(i for i, d in enumerate(digits) if d != limit[i])
+    stabilizer = below = 1
+    for p in perms:
+        sign = _compare_image(digits, p, r, digits)
+        if sign < 0:
+            return 0, max(p[:-sign]) + 1
+        if sign == 0:
+            stabilizer += 1
+            below += 1
+        elif sign > split + 1 or (sign == split + 1 and _compare_image(digits, p, r, limit) < 0):
+            below += 1
+    return below // stabilizer, 0
+
+
 # -- predicates ---------------------------------------------------------------
 
 
@@ -120,6 +239,7 @@ class HasBoundsCover:
     exists; badness 1 on failure."""
 
     bounds: tuple[int, ...]
+    invariant = True  # not a field: see the module docstring
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", tuple(self.bounds))
@@ -140,6 +260,7 @@ class MinCoverAtMost:
 
     d: int
     k: int
+    invariant = True
 
     @property
     def name(self) -> str:
@@ -153,7 +274,8 @@ class MinCoverAtMost:
 @dataclass(frozen=True)
 class ConstructiveMatchesOracle:
     """Passes iff the constructive general cover uses exactly the oracle
-    minimum number of components at bound d; badness is the gap."""
+    minimum number of components at bound d; badness is the gap. Not
+    invariant: cover_general's component count can depend on vertex labels."""
 
     d: int = 4
 
@@ -177,6 +299,7 @@ class MinCoverDistribution:
 
     d: int
     histogram = True  # not a field: reports of this predicate carry one
+    invariant = True
 
     @property
     def name(self) -> str:
@@ -195,12 +318,13 @@ class SearchReport:
     """Outcome summary of one search run.
 
     Counts always sum to `total`; `space` is the full canonical space (or the
-    requested sample count) of which only `total` were evaluated when the
-    budget cut the run short (`partial`). The witness is the evaluated
-    coloring of maximum badness, lowest ordinal on ties; `witness_colors`
+    requested sample count) of which only the first `total` ordinals were
+    decided when the budget cut the run short (`partial`). The witness is the
+    decided coloring of maximum badness, lowest ordinal on ties; `witness_colors`
     are 1-based colors along the lexicographic edge order of the host.
-    Wall-clock time and worker count are informational and excluded from
-    equality.
+    Wall-clock time, worker count, the order of the host symmetry group the
+    search was reduced by (1 when it was not) and the number of predicate
+    calls are informational and excluded from equality.
     """
 
     host: str
@@ -220,13 +344,16 @@ class SearchReport:
     histogram: tuple[tuple[int, int], ...] | None = None
     wall_seconds: float = field(default=0.0, compare=False)
     jobs: int = field(default=1, compare=False)
+    group_order: int = field(default=1, compare=False)
+    evaluations: int = field(default=0, compare=False)
 
 
 def format_report(report: SearchReport) -> str:
     lines = [
         f"search: {report.predicate} over {report.mode} colorings of {report.host} with r={report.r}",
         f"  space {report.space} (symmetry factor {report.symmetry_factor}), "
-        f"evaluated {report.total}, budget {report.budget}"
+        f"decided {report.total}, budget {report.budget}, "
+        f"host group order {report.group_order}, {report.evaluations} predicate calls"
         + (" [partial]" if report.partial else ""),
         f"  outcomes: {report.ok_count} ok, {report.fail_count} fail",
     ]
@@ -267,10 +394,14 @@ def format_report(report: SearchReport) -> str:
 # -- the search engine ---------------------------------------------------------
 
 def _eval_chunk(job: dict, span: tuple[int, int]):
-    """Evaluate the coloring ordinals lo..hi-1 of a search `job`: the state
-    enumerate_colorings builds, passed to pool workers with each chunk. A
-    predicate fault other than LimitExceeded comes back as a RuntimeError
-    that names the coloring (message only, so it pickles from a worker)."""
+    """Decide the coloring ordinals lo..hi-1 of a search `job`: the state
+    enumerate_colorings builds, passed to pool workers with each chunk.
+    With host symmetries in the job, only the least string of each orbit is
+    evaluated, weighted by its orbit members below the job's limit, and a
+    run of ordinals whose common prefix already rules them out is skipped
+    in one step. A predicate fault other than LimitExceeded comes back as a
+    RuntimeError that names the coloring (message only, so it pickles from
+    a worker)."""
     lo, hi = span
     n = job["n"]
     r = job["r"]
@@ -279,16 +410,30 @@ def _eval_chunk(job: dict, span: tuple[int, int]):
     collect = job["collect"]
     sample_seed = job["sample_seed"]
     exhaustive = job["mode"] == "exhaustive"
+    ways = job["ways"]
+    perms = job["perms"]
+    limit = job["limit"]
     m = len(pairs)
-    ok = fail = 0
+    ok = fail = calls = 0
     hist: Counter = Counter()
     best = None  # (badness, ordinal, colors)
     if exhaustive:
-        digits = _rgs_unrank(lo, m, r, job["ways"])
-    for ordinal in range(lo, hi):
+        digits = _rgs_unrank(lo, m, r, ways)
+    ordinal = lo
+    while ordinal < hi:
         if not exhaustive:
             rng = random.Random(sample_seed * (1 << 32) + ordinal)
             digits = _canonicalize([rng.randrange(r) for _ in range(m)])
+        weight, keep = _orbit_weight(digits, perms, r, limit) if perms else (1, 0)
+        if not weight:
+            # skip every string that shares the rejected prefix
+            head = digits[:keep]
+            if not _rgs_next(head, r):
+                break
+            digits[:] = head + [0] * (m - keep)
+            ordinal = _rgs_rank(digits, ways)
+            continue
+        calls += 1
         colors = tuple(d + 1 for d in digits)
         G = ColoredGraph(n, r, dict(zip(pairs, colors)))
         try:
@@ -299,30 +444,32 @@ def _eval_chunk(job: dict, span: tuple[int, int]):
             shown = ",".join(map(str, colors))
             raise RuntimeError(f"coloring ordinal {ordinal}, colors {shown}: {type(exc).__name__}: {exc}") from exc
         if passed:
-            ok += 1
+            ok += weight
         else:
-            fail += 1
+            fail += weight
         if collect:
-            hist[badness] += 1
+            hist[badness] += weight
         if best is None or badness > best[0]:
             best = (badness, ordinal, colors)
-        if exhaustive and ordinal + 1 < hi:
+        ordinal += 1
+        if exhaustive and ordinal < hi:
             _rgs_next(digits, r)
-    return ok, fail, best, hist
+    return ok, fail, best, hist, calls
 
 
 def _merge(results):
-    ok = fail = 0
+    ok = fail = calls = 0
     hist: Counter = Counter()
     best = None
-    for c_ok, c_fail, c_best, c_hist in results:
+    for c_ok, c_fail, c_best, c_hist, c_calls in results:
         ok += c_ok
         fail += c_fail
+        calls += c_calls
         hist.update(c_hist)
         if c_best is not None:
             if best is None or (c_best[0], -c_best[1]) > (best[0], -best[1]):
                 best = c_best
-    return ok, fail, best, hist
+    return ok, fail, best, hist, calls
 
 
 def enumerate_colorings(
@@ -337,12 +484,16 @@ def enumerate_colorings(
 ) -> SearchReport:
     """Evaluate `predicate` on the canonical r-colorings of the host's edges.
 
-    Exhaustive mode walks all canonical colorings in lexicographic order,
-    stopping at `budget` evaluations (report flagged partial). Sample mode
-    draws `samples` colorings, each edge color uniform, from a generator
-    seeded with seed*2^32 + sample index, then canonicalizes. The report
-    carries a histogram of badness values when the predicate has a true
-    `histogram` attribute.
+    Exhaustive mode decides the canonical colorings in lexicographic order,
+    stopping after the first `budget` ordinals (report flagged partial).
+    When the predicate has a true `invariant` attribute it is evaluated once
+    per orbit of the host's automorphisms and color permutations, at the
+    orbit's lowest ordinal, and that verdict counts for every orbit member
+    in the decided range; the report is equal to evaluating every ordinal.
+    Sample mode draws `samples` colorings, each edge color uniform, from a
+    generator seeded with seed*2^32 + sample index, then canonicalizes; it
+    is never reduced. The report carries a histogram of badness values when
+    the predicate has a true `histogram` attribute.
     """
     start = time.perf_counter()
     if r < 1:
@@ -353,6 +504,8 @@ def enumerate_colorings(
         raise ValueError("jobs must be >= 1")
     m = len(host.edge_color)
     if mode == "exhaustive":
+        if samples:
+            raise ValueError("samples apply only to sample mode")
         scope = count_canonical(m, r)
     elif mode == "sample":
         if samples < 1:
@@ -362,6 +515,8 @@ def enumerate_colorings(
         raise ValueError(f"unknown mode {mode!r}; use exhaustive or sample")
     evaluated = min(scope, budget)
     collect = getattr(predicate, "histogram", False)
+    reduce = mode == "exhaustive" and getattr(predicate, "invariant", False)
+    ways = _rgs_ways(m, r) if mode == "exhaustive" else None
     job = dict(
         n=host.n,
         r=r,
@@ -370,7 +525,9 @@ def enumerate_colorings(
         mode=mode,
         collect=collect,
         sample_seed=seed,
-        ways=_rgs_ways(m, r) if mode == "exhaustive" else None,
+        ways=ways,
+        perms=_edge_automorphisms(host) if reduce else (),
+        limit=tuple(_rgs_unrank(evaluated, m, r, ways)) if reduce and evaluated < scope else None,
     )
     if evaluated == 0:
         results = []
@@ -382,7 +539,7 @@ def enumerate_colorings(
         spans = [(lo, min(lo + step, evaluated)) for lo in range(0, evaluated, step)]
         with get_context("fork").Pool(jobs) as pool:
             results = pool.map(partial(_eval_chunk, job), spans)
-    ok, fail, best, hist = _merge(results)
+    ok, fail, best, hist, calls = _merge(results)
     return SearchReport(
         host=f"n={host.n} m={m}",
         r=r,
@@ -401,6 +558,8 @@ def enumerate_colorings(
         histogram=tuple(sorted(hist.items())) if collect else None,
         wall_seconds=time.perf_counter() - start,
         jobs=jobs,
+        group_order=len(job["perms"]) + 1,
+        evaluations=calls,
     )
 
 

@@ -234,6 +234,15 @@ def test_usage_errors(capsys, monkeypatch):
             stdin_text=format_graph(gen_p42(1)),
         )
         assert code == 2 and out == "" and "error: jobs must be >= 1" in err
+    # exhaustive mode takes neither flag, even at the sample-mode defaults
+    for extra in (["--samples", "5", "--seed", "9"], ["--samples", "0"], ["--seed", "0"]):
+        code, out, err = invoke(
+            capsys,
+            monkeypatch,
+            ["search", "--colors", "2", "--predicate", "min-cover-atmost:2,1", *extra],
+            stdin_text=format_graph(gen_p42(1)),
+        )
+        assert code == 2 and out == "" and err == "error: --samples and --seed apply only to --mode sample\n", extra
 
 
 def test_non_integer_token_names_its_line(tmp_path, capsys, monkeypatch):

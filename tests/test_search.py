@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import multiprocessing
 import random
 
@@ -13,13 +14,14 @@ from monocover.search import (
     ConstructiveMatchesOracle,
     HasBoundsCover,
     MinCoverAtMost,
+    MinCoverDistribution,
     apply_coloring,
     count_canonical,
     enumerate_colorings,
     format_report,
     min_cover_distribution,
 )
-from monocover.search import _rgs_next, _rgs_unrank, _rgs_ways
+from monocover.search import _edge_automorphisms, _orbit_weight, _rgs_next, _rgs_rank, _rgs_unrank, _rgs_ways
 
 
 def complete_host(n):
@@ -62,6 +64,7 @@ def test_unrank_and_successor_agree():
         assert walked == ref
         for i, want in enumerate(ref):
             assert tuple(_rgs_unrank(i, m, r, ways)) == want
+            assert _rgs_rank(list(want), ways) == i
         with pytest.raises(ValueError):
             _rgs_unrank(len(ref), m, r, ways)
 
@@ -125,6 +128,8 @@ def test_chunks_through_a_spawn_pool_match_serial(monkeypatch):
     h1, serial = min_cover_distribution(host, 2, 2, jobs=1)
     h2, pooled = min_cover_distribution(host, 2, 2, jobs=3)
     assert h1 == h2 and pooled == serial and pooled.jobs == 3
+    assert pooled == enumerate_colorings(host, 2, Plain(MinCoverDistribution(2)))
+    assert pooled.group_order == 120 and pooled.evaluations == serial.evaluations < pooled.total
 
 
 class FailsOnOneColoring:
@@ -185,6 +190,8 @@ def test_sample_mode_deterministic():
         enumerate_colorings(host, 2, HasBoundsCover((3, 3)), mode="sample", samples=0)
     with pytest.raises(ValueError):
         enumerate_colorings(host, 2, HasBoundsCover((3, 3)), mode="nope")
+    with pytest.raises(ValueError, match="only to sample mode"):
+        enumerate_colorings(host, 2, HasBoundsCover((3, 3)), mode="exhaustive", samples=5)
 
 
 def test_witness_reverifies():
@@ -248,3 +255,149 @@ def test_format_report_round_values():
     assert "symmetry_factor = 2" in text
     hist_text = format_report(min_cover_distribution(host, 2, 2)[1])
     assert "histogram = 1:26,2:6" in hist_text
+
+
+# -- orbit reduction ------------------------------------------------------------
+
+
+class Plain:
+    """Forwards a predicate without its `invariant` attribute, so the search
+    evaluates every coloring: the reference for orbit-reduced reports."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.histogram = getattr(inner, "histogram", False)
+
+    def evaluate(self, G):
+        return self.inner.evaluate(G)
+
+
+def random_host(rng, n):
+    p = rng.choice((0.2, 0.5, 0.8, 1.0))
+    return build_graph(n, 2, [(u, v, 1) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def brute_edge_automorphisms(host):
+    pairs = sorted(host.edge_color)
+    index = {e: i for i, e in enumerate(pairs)}
+    perms = set()
+    for s in itertools.permutations(range(host.n)):
+        images = [tuple(sorted((s[u], s[v]))) for u, v in pairs]
+        if all(e in index for e in images):
+            perms.add(tuple(index[e] for e in images))
+    perms.discard(tuple(range(len(pairs))))
+    return sorted(perms)
+
+
+def test_edge_automorphisms_match_brute_force():
+    rng = random.Random(8)
+    for _ in range(50):
+        host = random_host(rng, rng.randint(0, 7))
+        assert _edge_automorphisms(host) == brute_edge_automorphisms(host), format_graph(host)
+
+
+def test_edge_automorphism_group_orders():
+    for k, order in ((2, 10), (3, 14), (4, 18)):
+        assert len(_edge_automorphisms(gen_antihole(k))) + 1 == order
+    for n in range(3, 8):
+        assert len(_edge_automorphisms(complete_host(n))) + 1 == math.factorial(n)
+    assert _edge_automorphisms(complete_host(2)) == []  # swapping the ends moves no edge
+    assert len(_edge_automorphisms(gen_matching_complement(8))) + 1 == 384
+    matching = build_graph(8, 2, [(2 * i, 2 * i + 1, 1) for i in range(4)])
+    assert len(_edge_automorphisms(matching)) + 1 == 24
+
+    # K9 has 9! automorphisms: the search keeps the stabilizer of vertex 0
+    group = set(_edge_automorphisms(complete_host(9)))
+    group.add(tuple(range(36)))
+    assert len(group) == 40320
+    rng = random.Random(9)
+    elements = sorted(group)
+    for _ in range(500):
+        p, q = rng.choice(elements), rng.choice(elements)
+        assert tuple(p[i] for i in q) in group
+
+
+INVARIANT_INSTANCES = {
+    HasBoundsCover: [HasBoundsCover((2, 2)), HasBoundsCover((1, 3)), HasBoundsCover((2, 2, 2))],
+    MinCoverAtMost: [MinCoverAtMost(2, 1), MinCoverAtMost(3, 2)],
+    MinCoverDistribution: [MinCoverDistribution(1), MinCoverDistribution(2)],
+}
+
+
+def test_invariant_predicates_ignore_relabeling():
+    """What orbit reduction relies on: an `invariant` predicate gives the
+    same verdict and badness on a relabeled, recolored copy."""
+    declared = {v for v in vars(search).values() if isinstance(v, type) and getattr(v, "invariant", False)}
+    assert declared == set(INVARIANT_INSTANCES)
+    assert not hasattr(ConstructiveMatchesOracle, "invariant")
+    rng = random.Random(10)
+    hosts = [gen_antihole(2), gen_antihole(3), complete_host(5), gen_p42(1)]
+    hosts += [random_host(rng, rng.randint(2, 7)) for _ in range(6)]
+    for trial in range(200):
+        host = hosts[trial % len(hosts)]
+        r = rng.choice((2, 3))
+        colors = [rng.randrange(1, r + 1) for _ in host.edge_color]
+        G = build_graph(host.n, r, [(u, v, c) for (u, v), c in zip(sorted(host.edge_color), colors)])
+        sigma = list(range(host.n))
+        rng.shuffle(sigma)
+        tau = list(range(1, r + 1))
+        rng.shuffle(tau)
+        H = build_graph(host.n, r, [(sigma[u], sigma[v], tau[c - 1]) for u, v, c in G.edges()])
+        for predicate in itertools.chain.from_iterable(INVARIANT_INSTANCES.values()):
+            assert predicate.evaluate(G) == predicate.evaluate(H), (predicate, G.edges(), sigma, tau)
+
+
+ORBIT_CASES = [
+    ("antihole7", 2, HasBoundsCover((3, 3)), [{}]),
+    (
+        "antihole7",
+        2,
+        HasBoundsCover((2, 2)),
+        [{}, {"jobs": 3}, {"budget": 100}, {"budget": 3000}, {"budget": 3000, "jobs": 2}, {"budget": 1001, "jobs": 3}],
+    ),
+    ("antihole7", 2, HasBoundsCover((2, 3)), [{}]),
+    ("k6", 2, MinCoverDistribution(2), [{}, {"jobs": 2}]),
+    ("k5", 3, MinCoverDistribution(1), [{}]),
+    ("k5", 3, HasBoundsCover((1, 2)), [{"jobs": 3}]),
+    ("p42", 2, MinCoverAtMost(2, 1), [{}]),
+    ("k7", 2, MinCoverDistribution(2), [{"budget": 5000}]),
+    ("k9", 2, MinCoverDistribution(2), [{"budget": 5000}]),
+]
+ORBIT_HOSTS = {
+    "antihole7": lambda: gen_antihole(3),
+    "k5": lambda: complete_host(5),
+    "k6": lambda: complete_host(6),
+    "k7": lambda: complete_host(7),
+    "k9": lambda: complete_host(9),
+    "p42": lambda: gen_p42(1),
+}
+
+
+@pytest.mark.parametrize(
+    "host_name,r,predicate,runs",
+    ORBIT_CASES,
+    ids=[f"{h}-r{r}-{p.name}" for h, r, p, _runs in ORBIT_CASES],
+)
+def test_orbit_reduction_equals_plain(host_name, r, predicate, runs):
+    host = ORBIT_HOSTS[host_name]()
+    plain = {}
+    for options in runs:
+        budget = options.get("budget", search.DEFAULT_BUDGET)
+        if budget not in plain:
+            plain[budget] = enumerate_colorings(host, r, Plain(predicate), budget=budget)
+        reference = plain[budget]
+        reduced = enumerate_colorings(host, r, predicate, **options)
+        assert reduced == reference, options
+        assert format_report(reduced).split("\n\n")[1] == format_report(reference).split("\n\n")[1]
+        assert reference.group_order == 1 and reference.evaluations == reference.total
+        assert 1 < reduced.group_order and reduced.evaluations < reduced.total
+
+
+def test_budget_ends_inside_an_orbit():
+    # the coloring at ordinal 1001 of the 7-antihole is not the least of its
+    # orbit, so ORBIT_CASES' budget 1001 splits that orbit across the limit
+    host = gen_antihole(3)
+    m = len(host.edge_color)
+    digits = _rgs_unrank(1001, m, 2, _rgs_ways(m, 2))
+    assert _orbit_weight(digits, _edge_automorphisms(host), 2, None)[0] == 0
