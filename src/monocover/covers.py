@@ -8,6 +8,13 @@ uncovered raises ProofAssertionError naming the branch, since that can only
 mean a bug here. The build log records which branch fired and which
 color/role swaps were applied, and the case analyses check the other
 proof-guaranteed properties they rely on the same way.
+
+Counts are certified by what the construction exhibits, not by a second
+exact computation: cover_general checks its floor(3*alpha/2) count against
+an independent set built alongside the cover, so the exact independence
+number (an exponential branch and bound) runs only where a construction
+needs a maximum independent set itself, in cover_general's labels branch
+and in cover_stars (cover_alpha2 computes it only to report bad input).
 """
 
 from __future__ import annotations
@@ -530,26 +537,34 @@ def _near_split_small(G, s, c1, c2, k1_m, k2_m, log):
 
 def cover_general(G: ColoredGraph) -> CoverCertificate:
     """Cover any 2-colored graph by at most floor(3*alpha/2) monochromatic
-    components of diameter at most 4 each, alpha being the exact
-    independence number.
+    components of diameter at most 4 each, alpha being the independence
+    number.
 
-    alpha = 1 (no non-edge) and alpha = 2 (no complement triangle) are read
-    off the complement; only alpha >= 3 computes the independence number, for
-    G and for each residual graph of the pair peel. Each component is measured
-    once, by the branch that builds it, and the component count is checked
-    against floor(3*alpha/2).
+    The construction exhibits an independent set I, and the component count
+    is checked against floor(3*|I|/2) <= floor(3*alpha/2), which is the
+    paper's induction: a complete graph exhibits one vertex, an alpha = 2
+    graph (no complement triangle) its lowest non-edge, and each peel of a
+    nonadjacent pair with a common monochromatic neighbor adds at most three
+    components and adds the pair to the residual's set, which avoids both
+    closed neighborhoods. The exact independence number is computed only in
+    the labels branch, where no such pair is left; its maximum independent
+    set is that branch's I. Each component is measured once, by the branch
+    that builds it.
     """
     if G.r != 2:
         raise ValueError(f"cover_general requires r=2, got {G.r}")
-    cert, alpha = _cover_general_inner(G)
-    limit = 3 * alpha // 2
-    if G.n > 0 and len(cert.components) > limit:
+    cert, iset = _cover_general_inner(G)
+    for v in bits(iset):
+        if G.adj_rows[v] & iset:
+            raise ProofAssertionError("general", f"vertex {v} has a neighbor in the exhibited independent set")
+    limit = 3 * iset.bit_count() // 2
+    if len(cert.components) > limit:
         raise ProofAssertionError("general", f"{len(cert.components)} components exceed limit {limit}")
     return cert
 
 
 def _cover_general_inner(G: ColoredGraph) -> tuple[CoverCertificate, int]:
-    """Cover of G and its independence number."""
+    """Cover of G and the vertex mask of the independent set it exhibits."""
     if G.n == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",)), 0
     comp = G.complement_rows()
@@ -558,12 +573,13 @@ def _cover_general_inner(G: ColoredGraph) -> tuple[CoverCertificate, int]:
         log = [f"complete graph: spanning color-{c} subgraph"]
         return _certificate(G, [(c, G.full_mask, 3)], log, "complete"), 1
     if _complement_triangle(comp) is None:
-        return cover_alpha2(G), 2
-    alpha, iset = independence_number(G)
+        u = next(v for v, row in enumerate(comp) if row)
+        return cover_alpha2(G), (1 << u) | (comp[u] & -comp[u])
     pair = _mono_p2_pair(G)
     if pair is not None:
-        return _cover_general_peel(G, alpha, *pair), alpha
-    return _cover_general_labels(G, iset), alpha
+        return _cover_general_peel(G, *pair)
+    _alpha, iset = independence_number(G)
+    return _cover_general_labels(G, iset), mask_of(iset)
 
 
 def _mono_p2_pair(G: ColoredGraph):
@@ -580,7 +596,7 @@ def _mono_p2_pair(G: ColoredGraph):
     return None
 
 
-def _cover_general_peel(G, alpha, x, y, c, witness) -> CoverCertificate:
+def _cover_general_peel(G, x, y, c, witness) -> tuple[CoverCertificate, int]:
     branch = "peel-pair"
     cbar = 3 - c
     rows_c = G.color_rows[c - 1]
@@ -598,17 +614,17 @@ def _cover_general_peel(G, alpha, x, y, c, witness) -> CoverCertificate:
     ]
     rest = G.full_mask & ~neighborhood
     residual = []
+    iset = (1 << x) | (1 << y)
     if rest:
         sub, labels = induced_subgraph(G, vertex_set(rest))
-        sub_cert, sub_alpha = _cover_general_inner(sub)
-        if sub_alpha > alpha - 2:
-            raise ProofAssertionError(branch, f"residual independence {sub_alpha} > {alpha - 2}")
+        sub_cert, sub_iset = _cover_general_inner(sub)
+        iset |= mask_of(labels[i] for i in bits(sub_iset))
         residual = [
             CoverComponent(comp.color, frozenset(labels[i] for i in comp.vertices), comp.bound)
             for comp in sub_cert.components
         ]
         log.extend("residual: " + entry for entry in sub_cert.build_log)
-    return _certificate(G, pieces, log, branch, residual)
+    return _certificate(G, pieces, log, branch, residual), iset
 
 
 def _cover_general_labels(G, iset) -> CoverCertificate:

@@ -29,7 +29,7 @@ from functools import partial
 from multiprocessing import get_context
 
 from .covers import cover_general
-from .graph import ColoredGraph, LimitExceeded, build_graph
+from .graph import ColoredGraph, LimitExceeded, build_graph, mask_of
 from .oracle import exists_bounds_cover, min_cover_exact
 
 DEFAULT_BUDGET = 1 << 26
@@ -140,14 +140,16 @@ _AUTOMORPHISM_CAP = 40320  # 8!; the orbit test costs time linear in the group
 def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
     """The host's automorphisms other than the identity, as permutations p of
     the positions of sorted(host.edge_color): p[i] is the position of the
-    image of edge i. Vertex maps that move no edge (swapping isolated
-    vertices or the ends of an isolated edge) give one permutation. When the
-    group has more than _AUTOMORPHISM_CAP vertex maps, this is the pointwise
-    stabilizer of the fewest leading vertices 0..t-1 that fits; every
-    subgroup keeps orbit-reduced reports exact."""
+    image of edge i. Isolated vertices stay fixed and the lower end of an
+    isolated edge maps only to a lower end, so the vertex maps are exactly
+    the edge permutations. When the group has more than _AUTOMORPHISM_CAP of
+    them, this is the pointwise stabilizer of the fewest leading vertices
+    0..t-1 that fits; every subgroup keeps orbit-reduced reports exact."""
     n = host.n
     adj = host.adj_rows
     degree = [row.bit_count() for row in adj]
+    # lower ends of isolated edges: degree 1, with a higher neighbor of degree 1
+    lower = mask_of(v for v in range(n) if degree[v] == 1 and adj[v] >> v and degree[adj[v].bit_length() - 1] == 1)
 
     def stabilizer(fixed: int) -> list[tuple[int, ...]] | None:
         """Vertex automorphisms fixing 0..fixed-1 and every isolated vertex,
@@ -169,7 +171,12 @@ def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
                 want |= 1 << img[low.bit_length() - 1]
                 back ^= low
             for w in range(n):
-                if not used >> w & 1 and degree[w] == degree[v] and adj[w] & used == want:
+                if (
+                    not used >> w & 1
+                    and degree[w] == degree[v]
+                    and adj[w] & used == want
+                    and lower >> w & 1 == lower >> v & 1
+                ):
                     img[v] = w
                     if not extend(v + 1, used | 1 << w):
                         return False

@@ -1,12 +1,16 @@
 import contextlib
 import io
+import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monocover
 from monocover.cli import run
 from monocover.generators import gen_antihole, gen_p42
 from monocover.graph import format_graph, parse_certificate, parse_combined, parse_graph
@@ -283,6 +287,25 @@ def test_input_errors_name_the_input_line(capsys, monkeypatch):
         assert f"error: {message}" in err, (text, err)
 
 
+def _run_quietly(argv, stdin_text):
+    """cli.run(argv) on the given stdin: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(stdin_text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+def _names_a_line_or(message, whole_document):
+    return re.match(r"error: line \d+: ", message) or any(
+        message.startswith(f"error: {prefix}") for prefix in whole_document
+    )
+
+
 small_int = st.integers(-2, 4).map(str)
 component_line = st.builds(
     lambda c, d, vs: f"{c} {d}: {' '.join(vs)}", small_int, small_int, st.lists(small_int, max_size=4)
@@ -297,32 +320,74 @@ junk_line = st.one_of(
 WHOLE_DOCUMENT = ("empty certificate document", "certificate announces", "component ")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
+fuzzed_certificate = given(
     st.lists(component_line, max_size=4),
     st.one_of(st.none(), small_int),
     st.lists(st.tuples(st.integers(0, 5), junk_line), max_size=2),
 )
-def test_verify_fuzzed_certificates_exit_cleanly(components, count, junk):
-    # the count is right unless drawn, so most streams reach verify_cover
+
+
+def _certificate_text(components, count, junk):
+    # the count is right unless drawn, so most documents reach verify_cover
     lines = [str(len(components)) if count is None else count, *components]
     for at, line in junk:
         lines.insert(at, line)
-    text = "3 2\n0 1 1\n1 2 2\n---\n" + "\n".join(lines) + "\n"
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    try:
-        sys.stdin = io.StringIO(text)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["verify"])
-    finally:
-        sys.stdin = stdin
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@fuzzed_certificate
+def test_verify_fuzzed_certificates_exit_cleanly(components, count, junk):
+    text = "3 2\n0 1 1\n1 2 2\n---\n" + _certificate_text(components, count, junk)
+    code, message = _run_quietly(["verify"], text)
     assert code in (0, 1, 2), text
     if code == 2:
-        message = err.getvalue()
-        assert re.match(r"error: line \d+: ", message) or any(
-            message.startswith(f"error: {prefix}") for prefix in WHOLE_DOCUMENT
-        ), (text, message)
+        assert _names_a_line_or(message, WHOLE_DOCUMENT), (text, message)
+
+
+graph_token = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["x", "1.5", "-0", "2#c", "1e3", "+1"]))
+graph_line = st.one_of(
+    st.lists(graph_token, min_size=3, max_size=3).map(" ".join),
+    st.lists(graph_token, max_size=5).map(" ".join),
+    st.sampled_from(["", "   ", "# comment", "0 1 1 # trailing", "#"]),
+)
+# errors about the graph as a whole rather than about one input line
+GRAPH_WHOLE_DOCUMENT = ("empty graph document", "classify_complete requires", "classification needs")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(st.integers(-1, 64), st.integers(-1, 3)).map(lambda h: f"{h[0]} {h[1]}"),
+        graph_line,
+    ),
+    st.lists(graph_line, max_size=8),
+    st.lists(st.tuples(st.integers(0, 8), st.sampled_from(["", "# note", "  # x"])), max_size=2),
+)
+def test_classify_fuzzed_graphs_exit_cleanly(header, lines, junk):
+    # the header is "n r" with n <= 64 unless drawn as an arbitrary line
+    lines = [header, *lines]
+    for at, line in junk:
+        lines.insert(at, line)
+    text = "\n".join(lines) + "\n"
+    code, message = _run_quietly(["classify"], text)
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert _names_a_line_or(message, GRAPH_WHOLE_DOCUMENT), (text, message)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@fuzzed_certificate
+def test_verify_fuzzed_certificate_files_exit_cleanly(components, count, junk):
+    # a bare certificate file, its lines numbered from the top of the file
+    text = _certificate_text(components, count, junk)
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = Path(tmp) / "cert.txt"
+        cert.write_text(text)
+        code, message = _run_quietly(["verify", "--cert", str(cert)], "3 2\n0 1 1\n1 2 2\n")
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert _names_a_line_or(message, WHOLE_DOCUMENT), (text, message)
 
 
 def test_search_distribution_samples(capsys, monkeypatch):
@@ -342,10 +407,15 @@ def test_search_distribution_samples(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child must import the same package, also when pytest put src on
+    # sys.path itself rather than through PYTHONPATH
+    src = str(Path(monocover.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "monocover", "gen", "--family", "p42"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert parse_graph(proc.stdout) == gen_p42(1)

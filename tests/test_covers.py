@@ -297,6 +297,14 @@ def has_independent_triple(G):
     )
 
 
+def has_mono_p2_pair(G):
+    return any(
+        not G.has_edge(u, v) and G.color_of(u, w) is not None and G.color_of(u, w) == G.color_of(v, w)
+        for u, v in itertools.combinations(range(G.n), 2)
+        for w in range(G.n)
+    )
+
+
 def test_cover_general_computes_alpha_once_per_graph(monkeypatch):
     # complete and alpha = 2 graphs are recognized from the complement alone
     K9 = build_graph(9, 2, [(u, v, 1 + (u * v) % 2) for u in range(9) for v in range(u + 1, 9)])
@@ -313,8 +321,44 @@ def test_cover_general_computes_alpha_once_per_graph(monkeypatch):
         # each peel level that leaves a residual graph prefixes its log once more
         levels = max(entry.count("residual: ") for entry in cert.build_log)
         assert levels >= 1 and len(inner_graphs) == 1 + levels
-        # alpha is computed once for each of those graphs that has alpha >= 3
-        assert alpha_calls == sum(map(has_independent_triple, inner_graphs))
+        # alpha is computed only where the peel ends in the labels branch:
+        # alpha >= 3 and no nonadjacent pair with a common monochromatic neighbor
+        assert alpha_calls == sum(has_independent_triple(H) and not has_mono_p2_pair(H) for H in inner_graphs)
+
+
+def test_cover_general_rejects_a_dependent_exhibited_set(monkeypatch):
+    # a color-1 star at 0: peeling the adjacent pair (0, 1) gives one valid
+    # component, but {0, 1} is no independent set to count it against
+    G = build_graph(5, 2, [(0, v, 1) for v in range(1, 5)])
+    monkeypatch.setattr(covers, "_mono_p2_pair", lambda H: (0, 1, 1, 2))
+    with pytest.raises(ProofAssertionError, match=r"^\[general\] vertex 0 has a neighbor") as info:
+        cover_general(G)
+    assert info.value.branch == "general"
+
+
+def test_cover_general_rejects_an_extra_labels_component(monkeypatch):
+    # alternately colored path 1-2-4-3 plus isolated 0: the labels branch
+    # meets floor(3 * 3 / 2) = 4 components exactly
+    G = build_graph(5, 2, [(1, 2, 2), (2, 4, 1), (3, 4, 2)])
+    assert len(cover_general(G)) == 4
+    real = covers._cover_general_labels
+
+    def one_more(H, iset):
+        cert = real(H, iset)
+        return graph.CoverCertificate((*cert.components, cert.components[0]), cert.build_log)
+
+    monkeypatch.setattr(covers, "_cover_general_labels", one_more)
+    with pytest.raises(ProofAssertionError, match="5 components exceed limit 4"):
+        cover_general(G)
+
+
+def test_cover_general_sparse_n150_skips_alpha_along_the_peel(monkeypatch):
+    # many peel levels, none of which computes alpha; only a labels branch
+    # ending the peel may
+    G = rand_colored(150, 0.05, seed=0)
+    alpha_calls, inner_graphs, cert = _count_alpha_calls(monkeypatch, G)
+    assert verify_cover(G, cert)
+    assert len(inner_graphs) > 1 and alpha_calls <= 1
 
 
 def test_cover_alpha2_skips_alpha_on_valid_input(monkeypatch):

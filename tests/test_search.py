@@ -304,8 +304,11 @@ def test_edge_automorphism_group_orders():
         assert len(_edge_automorphisms(complete_host(n))) + 1 == math.factorial(n)
     assert _edge_automorphisms(complete_host(2)) == []  # swapping the ends moves no edge
     assert len(_edge_automorphisms(gen_matching_complement(8))) + 1 == 384
-    matching = build_graph(8, 2, [(2 * i, 2 * i + 1, 1) for i in range(4)])
-    assert len(_edge_automorphisms(matching)) + 1 == 24
+    # the edges of a perfect matching permute freely; swapping the ends of an
+    # edge moves none, so it must not count against the cap
+    for n, order in ((8, 24), (12, 720), (16, 40320)):
+        matching = build_graph(n, 2, [(2 * i, 2 * i + 1, 1) for i in range(n // 2)])
+        assert len(_edge_automorphisms(matching)) + 1 == order
 
     # K9 has 9! automorphisms: the search keeps the stabilizer of vertex 0
     group = set(_edge_automorphisms(complete_host(9)))
