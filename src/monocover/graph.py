@@ -235,19 +235,29 @@ def mono_diameter(G: ColoredGraph, color: int, vertices: Iterable[int]):
 # -- independence --------------------------------------------------------
 
 
+# Branch-and-bound nodes one `_max_clique` call may expand before it raises
+# LimitExceeded.
+MAX_CLIQUE_NODES = 200_000
+
+
 def _max_clique(rows: list[int], start: int) -> tuple[int, int]:
     """Maximum clique over the adjacency rows, restricted to `start`.
 
     Branch and bound with a greedy-coloring upper bound; deterministic
     lowest-index-first ordering throughout. Returns (size, vertex mask).
+    Raises LimitExceeded past MAX_CLIQUE_NODES nodes.
     """
     if start == 0:
         return 0, 0
     best_size = 0
     best_mask = 0
+    nodes = 0
 
     def expand(cand: int, cur_mask: int, cur_size: int) -> None:
-        nonlocal best_size, best_mask
+        nonlocal best_size, best_mask, nodes
+        nodes += 1
+        if nodes > MAX_CLIQUE_NODES:
+            raise LimitExceeded(f"maximum clique search exceeds {MAX_CLIQUE_NODES} branch-and-bound nodes")
         order: list[tuple[int, int]] = []
         rest = cand
         bound = 0

@@ -1,12 +1,14 @@
-"""Exact brute-force cover oracles at desk scale.
+"""Exact cover oracles at desk scale.
 
-Enumerates, per color, all vertex sets whose induced color subgraph has
-diameter at most d, and keeps only the inclusion-maximal ones. One search
-over those families answers two exact questions: the minimum number of
-diameter-<=d components covering all vertices, and whether a cover exists
-with at most one component per prescribed bound. Restricting to maximal
-candidates is lossless because any cover component lies inside a maximal
-candidate of the same color and bound.
+For each color, finds the inclusion-maximal vertex sets whose induced color
+subgraph has diameter at most d. Every such set is a clique of the color
+graph's d-th power (its vertices are pairwise within distance d in the whole
+color graph), so only those cliques are enumerated and tested, not all 2^n
+vertex sets. One search over the resulting families answers two exact
+questions: the minimum number of diameter-<=d components covering all
+vertices, and whether a cover exists with at most one component per
+prescribed bound. Restricting to maximal candidates is lossless because any
+cover component lies inside a maximal candidate of the same color and bound.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .graph import (
     CoverCertificate,
     CoverComponent,
     LimitExceeded,
+    _ball,
     _mask_diam_le,
     _mask_diameter,
     bits,
@@ -40,28 +43,16 @@ class CandidateFamily:
         return len(self.candidates)
 
 
-def _qualifying_supersets(rows: list[int], n: int, d: int):
-    """All qualifying masks for one color, plus a has-qualifying-superset
-    table (subset-sum transform over the qualifying indicator)."""
-    size = 1 << n
-    sup = bytearray(size)
-    qual = []
-    for m in range(1, size):
-        if _mask_diam_le(rows, m, d):
-            sup[m] = 1
-            qual.append(m)
-    for v in range(n):
-        bit = 1 << v
-        for base in range(0, size, bit << 1):
-            for m in range(base, base + bit):
-                if sup[m + bit] and not sup[m]:
-                    sup[m] = 1
-    return qual, sup
-
-
 def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> CandidateFamily:
     """Exactly the maximal diameter-<=d monochromatic vertex sets per color,
-    sorted by (color, vertex mask)."""
+    sorted by (color, vertex mask).
+
+    Per color, every clique of the color graph's d-th power is enumerated
+    once, by a depth-first search that extends a clique only by higher
+    vertices within distance d of all its members, and tested for induced
+    diameter <= d. Qualifying masks are scanned by decreasing size and kept
+    unless a kept mask contains them.
+    """
     if d < 0:
         raise ValueError(f"diameter bound must be >= 0, got {d}")
     if G.n > max_n:
@@ -69,18 +60,28 @@ def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> C
     out: list[tuple[int, int]] = []
     for color in range(1, G.r + 1):
         rows = G.color_rows[color - 1]
-        qual, sup = _qualifying_supersets(rows, G.n, d)
+        near = [_ball(rows, G.full_mask, 1 << v, d)[0] for v in range(G.n)]
+        # (clique, the higher vertices near all of it); an explicit stack, so
+        # that no recursive closure keeps this call's lists in a cycle
+        stack = [(1 << v, near[v] >> (v + 1) << (v + 1)) for v in range(G.n)]
+        qual = []
+        while stack:
+            m, ext = stack.pop()
+            if _mask_diam_le(rows, m, d):
+                qual.append(m)
+            while ext:
+                b = ext & -ext
+                ext ^= b
+                stack.append((m | b, ext & near[b.bit_length() - 1]))
+        qual.sort(key=int.bit_count, reverse=True)
+        kept: list[int] = []
         for m in qual:
-            rem = G.full_mask ^ m
-            maximal = True
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                if sup[m | b]:
-                    maximal = False
+            for k in kept:
+                if m & k == m:
                     break
-            if maximal:
-                out.append((color, m))
+            else:
+                kept.append(m)
+        out.extend((color, m) for m in kept)
     out.sort()
     return CandidateFamily(d, tuple((c, vertex_set(m)) for c, m in out))
 
@@ -113,33 +114,36 @@ def _search(full: int, fams, through, cover_of, slots) -> list[tuple[int, int]] 
     lies in a maximal set of the same color for every larger bound.
     """
     left = dict(slots)
-    order = sorted(left)
     picks: list[tuple[int, int]] = []
+    found = _dfs(full, 0, sum(left.values()), fams, through, cover_of, sorted(left), left, picks)
+    return picks if found else None
 
-    def dfs(cov: int, total: int) -> bool:
-        if cov == full:
-            return True
-        rem = full & ~cov
-        v = (rem & -rem).bit_length() - 1
-        k = 0
-        while rem and k <= total:
-            k += 1
-            rem &= ~cover_of[(rem & -rem).bit_length() - 1]
-        if k > total:
-            return False
-        for d in order:
-            if left[d]:
-                left[d] -= 1
-                fam = fams[d]
-                for idx in through[d][v]:
-                    picks.append((d, idx))
-                    if dfs(cov | fam[idx][1], total - 1):
-                        return True
-                    picks.pop()
-                left[d] += 1
+
+def _dfs(full, cov, total, fams, through, cover_of, order, left, picks) -> bool:
+    """One node of `_search`: extends `picks` (and spends `left`) until `cov`
+    is `full` with at most `total` more picks. A module-level function, so
+    that the recursion leaves no reference cycle behind."""
+    if cov == full:
+        return True
+    rem = full & ~cov
+    v = (rem & -rem).bit_length() - 1
+    k = 0
+    while rem and k <= total:
+        k += 1
+        rem &= ~cover_of[(rem & -rem).bit_length() - 1]
+    if k > total:
         return False
-
-    return picks if dfs(0, sum(left.values())) else None
+    for d in order:
+        if left[d]:
+            left[d] -= 1
+            fam = fams[d]
+            for idx in through[d][v]:
+                picks.append((d, idx))
+                if _dfs(full, cov | fam[idx][1], total - 1, fams, through, cover_of, order, left, picks):
+                    return True
+                picks.pop()
+            left[d] += 1
+    return False
 
 
 def _component(G: ColoredGraph, c: int, m: int) -> CoverComponent:

@@ -24,6 +24,23 @@ def complete_colored(n: int, seed: int, r: int = 2) -> ColoredGraph:
     return build_graph(n, r, edges)
 
 
+def matching_union(n: int, seed: int, drop: float = 0.1) -> ColoredGraph:
+    """Two random perfect matchings of 0..n-1, one per color, a pair in both
+    kept in the first, each edge dropped with probability `drop`. Every
+    vertex has at most one edge of each color, so no nonadjacent pair shares
+    a monochromatic neighbor and cover_general takes its labels branch."""
+    rng = random.Random(seed)
+    edge_color: dict[tuple[int, int], int] = {}
+    for color in (1, 2):
+        order = list(range(n))
+        rng.shuffle(order)
+        for i in range(0, n - 1, 2):
+            pair = (min(order[i], order[i + 1]), max(order[i], order[i + 1]))
+            if pair not in edge_color and rng.random() >= drop:
+                edge_color[pair] = color
+    return build_graph(n, 2, [(u, v, c) for (u, v), c in edge_color.items()])
+
+
 def fw_diameter(n: int, edge_pairs) -> float:
     """Floyd-Warshall diameter over the given vertex count; inf when
     disconnected, 0 for n <= 1."""

@@ -10,7 +10,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matching_union
 import monocover
+from monocover import graph
 from monocover.cli import run
 from monocover.generators import gen_antihole, gen_p42
 from monocover.graph import format_graph, parse_certificate, parse_combined, parse_graph
@@ -117,6 +119,14 @@ def test_cover_cliques_limit_exit_code(capsys, monkeypatch):
     code, _, err = invoke(capsys, monkeypatch, ["cover", "--method", "cliques"], stdin_text=text)
     assert code == 3
     assert "error:" in err
+
+
+def test_cover_node_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(graph, "MAX_CLIQUE_NODES", 3)
+    text = format_graph(matching_union(60, seed=1))
+    code, out, err = invoke(capsys, monkeypatch, ["cover", "--method", "general"], stdin_text=text)
+    assert code == 3 and out == ""
+    assert "branch-and-bound nodes" in err
 
 
 def test_classify_output(capsys, monkeypatch):

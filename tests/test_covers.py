@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import complement_bipartite, complete_colored, rand_colored, two_clique_split
+from conftest import complement_bipartite, complete_colored, matching_union, rand_colored, two_clique_split
 from monocover import covers, graph
 from monocover.covers import (
     NearSplitStructure,
@@ -490,6 +490,19 @@ def test_cover_via_cliques_limit():
     with pytest.raises(LimitExceeded):
         cover_via_cliques(big)
     assert len(cover_via_cliques(big, max_n=25)) == 25
+
+
+def test_labels_branch_alpha_has_a_node_budget(monkeypatch):
+    """The labels branch's exact alpha is a branch and bound capped at
+    graph.MAX_CLIQUE_NODES nodes: past the cap, cover_general raises
+    LimitExceeded instead of running on."""
+    G = matching_union(60, seed=1)
+    assert "labeled cliques" in cover_general(G).build_log[-1]
+    monkeypatch.setattr(graph, "MAX_CLIQUE_NODES", 3)
+    with pytest.raises(LimitExceeded, match="branch-and-bound nodes"):
+        cover_general(G)
+    with pytest.raises(LimitExceeded):
+        independence_number(G)
 
 
 def test_matching_complement_cover():

@@ -339,6 +339,46 @@ def test_combined_round_trip():
         parse_combined(format_graph(G))
 
 
+# A log entry is one line; the format keeps it up to surrounding whitespace.
+log_entry = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20).map(str.strip)
+
+
+def certificates(colors, vertices, max_components=5):
+    component = st.builds(CoverComponent, colors, st.frozensets(vertices, min_size=1, max_size=6), st.integers(0, 6))
+    return st.builds(
+        CoverCertificate,
+        st.lists(component, max_size=max_components).map(tuple),
+        st.lists(log_entry, max_size=3).map(tuple),
+    )
+
+
+@st.composite
+def graphs_with_certificates(draw):
+    n, r = draw(st.integers(0, 8)), draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    colors = draw(st.lists(st.integers(0, r), min_size=len(pairs), max_size=len(pairs)))
+    G = build_graph(n, r, [(u, v, c) for (u, v), c in zip(pairs, colors) if c])
+    vertices = st.integers(0, max(n - 1, 0))
+    return G, draw(certificates(st.integers(1, r), vertices, max_components=5 if n else 0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(certificates(st.integers(1, 9), st.integers(0, 99)))
+def test_certificate_round_trip_random(cert):
+    back = parse_certificate(format_certificate(cert))
+    assert back == cert
+    assert back.build_log == cert.build_log
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graphs_with_certificates())
+def test_combined_round_trip_random(pair):
+    G, cert = pair
+    G2, cert2 = parse_combined(format_combined(G, cert))
+    assert G2 == G
+    assert cert2 == cert and cert2.build_log == cert.build_log
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 10_000), st.integers(1, 3))
 def test_round_trip_random(n, seed, r):

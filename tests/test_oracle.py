@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 
@@ -72,21 +73,39 @@ def test_min_cover_degenerate():
 
 
 def test_maximal_candidates_properties():
-    for seed in range(25):
-        n = 2 + seed % 6
-        G = rand_colored(n, 0.5, seed=2000 + seed)
-        for d in (1, 2):
-            fam = maximal_candidates(G, d)
-            listed = {(c, frozenset(vs)) for c, vs in fam.candidates}
-            for color in (1, 2):
-                qual = qualifying_masks(G, color, d)
-                qual_sets = [frozenset(v for v in range(n) if (m >> v) & 1) for m in qual]
-                max_sets = {
-                    s for s in qual_sets if not any(s < t for t in qual_sets)
-                }
-                assert {(color, s) for s in max_sets} == {
-                    (c, s) for c, s in listed if c == color
-                }
+    """The family is exactly the inclusion-maximal qualifying sets of each
+    color, by the Floyd-Warshall reference, for n = 0..7, r = 1..3 and
+    d = 0..4: empty at n = 0, the singletons of every color at d = 0."""
+    for n in range(8):
+        for r in (1, 2, 3):
+            for k, p in enumerate((0.3, 0.6, 0.9)):
+                G = rand_colored(n, p, seed=2000 + 100 * n + 10 * r + k, r=r)
+                for d in range(5):
+                    listed = {(c, frozenset(vs)) for c, vs in maximal_candidates(G, d).candidates}
+                    expected = set()
+                    for color in range(1, r + 1):
+                        qual = [frozenset(v for v in range(n) if m >> v & 1) for m in qualifying_masks(G, color, d)]
+                        expected |= {(color, s) for s in qual if not any(s < t for t in qual)}
+                    assert listed == expected, (n, r, p, d)
+                    if n == 0:
+                        assert listed == set()
+                    if d == 0:
+                        assert listed == {(c, frozenset({v})) for c in range(1, r + 1) for v in range(n)}
+
+
+def test_oracle_calls_leave_no_reference_cycles():
+    """With the cyclic collector off, everything an oracle call allocates is
+    freed by reference counting: no recursive closure keeps its lists alive."""
+    G = rand_colored(12, 0.4, seed=12)
+    calls = ((maximal_candidates, 2), (min_cover_exact, 2), (exists_bounds_cover, [2, 2, 2]))
+    gc.disable()
+    try:
+        for fn, arg in calls:
+            gc.collect()
+            fn(G, arg)
+            assert gc.collect() == 0, fn.__name__
+    finally:
+        gc.enable()
 
 
 def test_exists_bounds_cover_basics():
