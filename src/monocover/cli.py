@@ -25,11 +25,20 @@ from .covers import (
     cover_near_split,
     two_clique_cover,
 )
-from .generators import InstanceSpec
+from .generators import (
+    gen_antihole,
+    gen_k7_triple,
+    gen_matching_complement,
+    gen_p42,
+    gen_random_alpha2,
+    gen_substitution,
+    house_skeleton,
+)
 from .graph import (
     ColoredGraph,
     CoverCertificate,
     LimitExceeded,
+    build_graph,
     format_certificate,
     format_combined,
     format_graph,
@@ -90,23 +99,33 @@ def _fmt_set(vertices) -> str:
 # -- gen ------------------------------------------------------------------
 
 
+def _house_substitution(sizes: list[int], free_color: int) -> ColoredGraph:
+    """The house skeleton with vertex i blown up into a color-1 clique on
+    sizes[i] vertices."""
+    inner = [build_graph(s, 2, [(u, v, 1) for u in range(s) for v in range(u + 1, s)]) for s in sizes]
+    return gen_substitution(house_skeleton(free_color), sizes, inner)
+
+
+# family -> (generator, the gen options it takes, in parameter order)
+_GENERATORS = {
+    "p42": (gen_p42, ("copies",)),
+    "antihole": (gen_antihole, ("k", "scheme")),
+    "k7triple": (gen_k7_triple, ("copies",)),
+    "matching-complement": (gen_matching_complement, ("n",)),
+    "random-alpha2": (gen_random_alpha2, ("n", "p", "seed")),
+    "substitution": (_house_substitution, ("sizes", "free_color")),
+}
+
+
 def _cmd_gen(args) -> int:
-    params: dict = {}
     family = args.family
-    if family in ("p42", "k7triple"):
-        params["copies"] = args.copies
-    elif family == "antihole":
-        params["k"] = args.k
-        params["scheme"] = args.scheme
-    elif family == "matching-complement":
-        params["n"] = args.n
-    elif family == "random-alpha2":
-        params.update(n=args.n, p=args.p, seed=args.seed)
+    generate, names = _GENERATORS[family]
+    params = {name: getattr(args, name) for name in names}
+    if family == "random-alpha2":
         print(f"seed = {args.seed}", file=sys.stderr)
     elif family == "substitution":
         params["sizes"] = [int(s) for s in args.sizes.split(",")]
-        params["free_color"] = args.free_color
-    G = InstanceSpec(family, params).build()
+    G = generate(*params.values())
     detail = " ".join(f"{k}={v}" for k, v in params.items())
     _write_text(args.out, format_graph(G, comments=[f"gen {family} {detail}".rstrip()]))
     return EXIT_OK
@@ -286,14 +305,7 @@ def _build_parser() -> _Parser:
     gen.add_argument(
         "--family",
         required=True,
-        choices=[
-            "p42",
-            "antihole",
-            "k7triple",
-            "matching-complement",
-            "random-alpha2",
-            "substitution",
-        ],
+        choices=list(_GENERATORS),
     )
     gen.add_argument("--copies", type=int, default=1, help="disjoint copies (p42, k7triple)")
     gen.add_argument("--k", type=int, default=3, help="antihole parameter: 2k+1 vertices")

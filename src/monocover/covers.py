@@ -15,13 +15,18 @@ an independent set built alongside the cover, so the exact independence
 number (an exponential branch and bound) runs only where a construction
 needs a maximum independent set itself, in cover_general's labels branch
 and in cover_stars (cover_alpha2 computes it only to report bad input).
+
+Vertex sets pass between the stages here as bit masks (bit v set for vertex
+v): the parts of a PairPartition, the cliques of a NearSplitStructure and
+every piece handed to _certificate. Only the certificate's components hold
+frozensets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import DiamPattern, _classify_within, _spanning_mono_within
+from .classify import _bases_within, _spanning_mono_within
 from .graph import (
     ColoredGraph,
     CoverCertificate,
@@ -29,6 +34,7 @@ from .graph import (
     LimitExceeded,
     _complement_sides,
     _complement_triangle,
+    _mask_diam_le,
     _mask_diameter,
     _max_clique,
     bits,
@@ -96,7 +102,8 @@ def _certificate(G, pieces, log, branch, residual=()) -> CoverCertificate:
 
 @dataclass(frozen=True)
 class PairPartition:
-    """The eight-way split of V - {x, y} around a nonadjacent pair.
+    """The eight-way split of V - {x, y} around a nonadjacent pair, as
+    vertex masks.
 
     a11/a22: adjacent to both x and y in color 1 / color 2 (homogeneous);
     a12: color 1 to x and color 2 to y; a21 the mirror image;
@@ -105,26 +112,22 @@ class PairPartition:
 
     x: int
     y: int
-    a11: frozenset[int]
-    a22: frozenset[int]
-    a12: frozenset[int]
-    a21: frozenset[int]
-    ax1: frozenset[int]
-    ax2: frozenset[int]
-    ay1: frozenset[int]
-    ay2: frozenset[int]
+    a11: int
+    a22: int
+    a12: int
+    a21: int
+    ax1: int
+    ax2: int
+    ay1: int
+    ay2: int
 
     @property
-    def kx(self) -> frozenset[int]:
-        return self.ax1 | self.ax2 | {self.x}
+    def kx(self) -> int:
+        return self.ax1 | self.ax2 | 1 << self.x
 
     @property
-    def ky(self) -> frozenset[int]:
-        return self.ay1 | self.ay2 | {self.y}
-
-    @property
-    def common(self) -> frozenset[int]:
-        return self.a11 | self.a22 | self.a12 | self.a21
+    def ky(self) -> int:
+        return self.ay1 | self.ay2 | 1 << self.y
 
     def swap_colors(self) -> PairPartition:
         """The same split with colors 1 and 2 renamed into each other."""
@@ -141,33 +144,35 @@ class PairPartition:
 
 def pair_partition(G: ColoredGraph, x: int, y: int) -> PairPartition:
     """Split all other vertices by their adjacency pattern to the nonadjacent
-    pair (x, y). Valid when the independence number is 2; a vertex adjacent
-    to neither endpoint, or a non-complete side clique, witnesses alpha > 2
-    and is an error."""
+    pair (x, y), each part an intersection of the two endpoints' color rows.
+    Valid when the independence number is 2; a vertex adjacent to neither
+    endpoint (the lowest one is named), or a non-complete side clique,
+    witnesses alpha > 2 and is an error."""
     if G.r != 2:
         raise ValueError(f"pair_partition requires r=2, got {G.r}")
     if x == y or not (0 <= x < G.n and 0 <= y < G.n):
         raise ValueError(f"invalid pair ({x},{y})")
     if G.has_edge(x, y):
         raise ValueError(f"pair ({x},{y}) is adjacent; need a nonadjacent pair")
-    buckets: dict[str, set[int]] = {k: set() for k in ("a11", "a22", "a12", "a21", "ax1", "ax2", "ay1", "ay2")}
-    for v in G.vertices():
-        if v == x or v == y:
-            continue
-        cx = G.color_of(v, x)
-        cy = G.color_of(v, y)
-        if cx is None and cy is None:
-            raise ValueError(f"vertex {v} is adjacent to neither {x} nor {y}: independent triple")
-        if cx is not None and cy is not None:
-            buckets[f"a{cx}{cy}"].add(v)
-        elif cx is not None:
-            buckets[f"ax{cx}"].add(v)
-        else:
-            buckets[f"ay{cy}"].add(v)
-    part = PairPartition(x, y, *(frozenset(buckets[k]) for k in ("a11", "a22", "a12", "a21", "ax1", "ax2", "ay1", "ay2")))
+    adj = G.adj_rows
+    lone = G.full_mask & ~(adj[x] | adj[y] | 1 << x | 1 << y)
+    if lone:
+        raise ValueError(f"vertex {next(bits(lone))} is adjacent to neither {x} nor {y}: independent triple")
+    r1, r2 = G.color_rows
+    part = PairPartition(
+        x,
+        y,
+        a11=r1[x] & r1[y],
+        a22=r2[x] & r2[y],
+        a12=r1[x] & r2[y],
+        a21=r2[x] & r1[y],
+        ax1=r1[x] & ~adj[y],
+        ax2=r2[x] & ~adj[y],
+        ay1=r1[y] & ~adj[x],
+        ay2=r2[y] & ~adj[x],
+    )
     for side_name, side in (("x", part.kx), ("y", part.ky)):
-        m = mask_of(side)
-        if not _is_complete_mask(G, m):
+        if not _is_complete_mask(G, side):
             raise ValueError(f"side clique around {side_name} is not complete: independence number exceeds 2")
     return part
 
@@ -220,10 +225,11 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     )
 
     part = pair_partition(G, x, y)
+    pair = 1 << x | 1 << y
 
     if part.a11 and part.a22:
-        m1 = mask_of({x, y} | part.ax1 | part.ay1 | part.a11 | part.a12 | part.a21)
-        m2 = mask_of({x, y} | part.ax2 | part.ay2 | part.a22)
+        m1 = pair | part.ax1 | part.ay1 | part.a11 | part.a12 | part.a21
+        m2 = pair | part.ax2 | part.ay2 | part.a22
         log.append("both homogeneous parts nonempty: one double-star component per color")
         return _certificate(G, [(1, m1, 4), (2, m2, 4)], log, "both-homogeneous")
 
@@ -240,44 +246,37 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     red_rows = G.color_rows[red - 1]
     blue_rows = G.color_rows[blue - 1]
 
-    kx_m = mask_of(part.kx)
-    ky_m = mask_of(part.ky)
-    d_red_kx = _mask_diameter(red_rows, kx_m)
-    d_red_ky = _mask_diameter(red_rows, ky_m)
+    d_red_kx = _mask_diameter(red_rows, part.kx)
+    d_red_ky = _mask_diameter(red_rows, part.ky)
 
     if d_red_kx <= 3 and d_red_ky <= 3:
-        m1 = kx_m | mask_of(part.a11 | part.a12)
-        m2 = ky_m | mask_of(part.a21)
+        m1 = part.kx | part.a11 | part.a12
+        m2 = part.ky | part.a21
         log.append(f"both side cliques have color-{red} diameter <= 3: two color-{red} components")
         return _certificate(G, [(red, m1, 4), (red, m2, 4)], log, "two-red-sides")
 
     if d_red_ky <= 3:
         part = part.swap_roles()
-        kx_m, ky_m = ky_m, kx_m
         d_red_kx, d_red_ky = d_red_ky, d_red_kx
         log.append("large homogeneous-color diameter sits at the x side: x/y roles swapped")
+    kx, ky = part.kx, part.ky
 
-    if _mask_diameter(blue_rows, ky_m) > 2:
+    if _mask_diameter(blue_rows, ky) > 2:
         raise ProofAssertionError("side-clique", f"y-side clique should have color-{blue} diameter <= 2")
 
-    d_blue_kx = _mask_diameter(blue_rows, kx_m)
+    d_blue_kx = _mask_diameter(blue_rows, kx)
     if d_blue_kx <= 3:
         # x-side clique is usable in the second color
-        ax2_m = mask_of(part.ax2)
-        target = ax2_m | ky_m
-        bad = None
-        for z in sorted(part.a11):
-            if not (blue_rows[z] & target):
-                bad = z
-                break
+        target = part.ax2 | ky
+        bad = next((z for z in bits(part.a11) if not blue_rows[z] & target), None)
         if bad is None:
-            a11x = {z for z in part.a11 if blue_rows[z] & ax2_m}
-            a11y = part.a11 - a11x
-            for z in a11y:
-                if not (blue_rows[z] & ky_m):
+            a11x = mask_of(z for z in bits(part.a11) if blue_rows[z] & part.ax2)
+            a11y = part.a11 & ~a11x
+            for z in bits(a11y):
+                if not (blue_rows[z] & ky):
                     raise ProofAssertionError("blue-split", f"{z} sends no color-{blue} edge to either side")
-            m1 = kx_m | mask_of(a11x | part.a21)
-            m2 = ky_m | mask_of(a11y | part.a12)
+            m1 = kx | a11x | part.a21
+            m2 = ky | a11y | part.a12
             log.append(
                 f"every homogeneous vertex sends a color-{blue} edge across: two color-{blue} components"
             )
@@ -289,12 +288,7 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
         if z_rest:
             zc, _zd = _spanning_mono_within(G, z_rest)
             pieces.append((zc, z_rest, 3))
-        triple = (
-            (1 << part.x)
-            | (1 << part.y)
-            | mask_of(part.ax1 | part.a11 | part.a12 | part.a21)
-            | red_rows[bad]
-        )
+        triple = pair | part.ax1 | part.a11 | part.a12 | part.a21 | red_rows[bad]
         pieces.append((red, triple, 4))
         log.append(
             f"homogeneous vertex {bad} sends only color-{red} edges across: "
@@ -305,23 +299,17 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     # x-side clique has large second-color diameter, hence small first-color one
     if d_red_kx > 2:
         raise ProofAssertionError("red-partition", f"x-side clique should have color-{red} diameter <= 2")
-    ystar_m = (1 << part.y) | mask_of(part.ay1 | part.a11 | part.a21)
-    ay2 = part.ay2
-    a12_m = mask_of(part.a12)
-    reach = G.full_mask & ~(mask_of(ay2) | a12_m)
-    bad = None
-    for z in sorted(ay2):
-        if not (red_rows[z] & reach):
-            bad = z
-            break
+    ystar = 1 << part.y | part.ay1 | part.a11 | part.a21
+    reach = G.full_mask & ~(part.ay2 | part.a12)
+    bad = next((z for z in bits(part.ay2) if not red_rows[z] & reach), None)
     if bad is None:
-        sx = {v for v in ay2 if red_rows[v] & kx_m}
-        sy = ay2 - sx
-        for v in sy:
-            if not (red_rows[v] & ystar_m):
+        sx = mask_of(v for v in bits(part.ay2) if red_rows[v] & kx)
+        sy = part.ay2 & ~sx
+        for v in bits(sy):
+            if not (red_rows[v] & ystar):
                 raise ProofAssertionError("red-partition", f"{v} sends no color-{red} edge to either part")
-        m1 = kx_m | a12_m | mask_of(sx)
-        m2 = ystar_m | mask_of(sy)
+        m1 = kx | part.a12 | sx
+        m2 = ystar | sy
         log.append(f"every y-only color-{blue} vertex sends color-{red} across: two color-{red} components")
         return _certificate(G, [(red, m1, 4), (red, m2, 4)], log, "red-partition")
     z_rest = reach & ~G.adj_rows[bad]
@@ -331,7 +319,7 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     if z_rest:
         zc, _zd = _spanning_mono_within(G, z_rest)
         pieces.append((zc, z_rest, 3))
-    ext = (1 << part.y) | mask_of(ay2) | a12_m | blue_rows[bad]
+    ext = 1 << part.y | part.ay2 | part.a12 | blue_rows[bad]
     pieces.append((blue, ext, 3))
     log.append(
         f"y-only vertex {bad} sends only color-{blue} edges out: color-{blue} double-level star "
@@ -345,13 +333,13 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
 
 @dataclass(frozen=True)
 class NearSplitStructure:
-    """A vertex v plus a two-clique split of the rest, with v adjacent to all
-    but exactly one vertex per clique (v1 in k1, v2 in k2, and v1v2 an edge
-    so the independence number stays 2)."""
+    """A vertex v plus a two-clique split of the rest, given as vertex masks
+    k1 and k2, with v adjacent to all but exactly one vertex per clique (v1
+    in k1, v2 in k2, and v1v2 an edge so the independence number stays 2)."""
 
     v: int
-    k1: frozenset[int]
-    k2: frozenset[int]
+    k1: int
+    k2: int
     v1: int
     v2: int
 
@@ -361,14 +349,14 @@ class NearSplitStructure:
             raise ValueError(f"center {self.v} out of range")
         if self.k1 & self.k2:
             raise ValueError("side cliques overlap")
-        if self.k1 | self.k2 != set(G.vertices()) - {self.v}:
+        if self.k1 | self.k2 != G.full_mask & ~(1 << self.v):
             raise ValueError("side cliques do not partition the other vertices")
         for name, side in (("k1", self.k1), ("k2", self.k2)):
-            if not _is_complete_mask(G, mask_of(side)):
+            if not _is_complete_mask(G, side):
                 raise ValueError(f"{name} does not induce a complete graph")
-        if self.v1 not in self.k1 or self.v2 not in self.k2:
+        if self.v1 not in bits(self.k1) or self.v2 not in bits(self.k2):
             raise ValueError("missed vertices must lie in their cliques")
-        for u in self.k1 | self.k2:
+        for u in bits(self.k1 | self.k2):
             adjacent = G.has_edge(self.v, u)
             if u in (self.v1, self.v2):
                 if adjacent:
@@ -403,10 +391,10 @@ def detect_near_split(G: ColoredGraph) -> NearSplitStructure | None:
     return None
 
 
-def _two_clique_split(G: ColoredGraph, v: int, a: int, b: int):
-    """Partition V - {v} into cliques (k1, k2) with a in k1 and b in k2, or
-    None. Two-colors the complement of G - v; the components holding a and b
-    orient by them, any others put the side of their smallest vertex first."""
+def _two_clique_split(G: ColoredGraph, v: int, a: int, b: int) -> tuple[int, int] | None:
+    """Partition V - {v} into clique masks (k1, k2) with a in k1 and b in k2,
+    or None. Two-colors the complement of G - v; the components holding a and
+    b orient by them, any others put the side of their smallest vertex first."""
     sides = _complement_sides(G, G.full_mask & ~(1 << v))
     if sides is None:
         return None
@@ -418,42 +406,39 @@ def _two_clique_split(G: ColoredGraph, v: int, a: int, b: int):
             return None  # a and b on one side
         k1 |= first
         k2 |= second
-    return vertex_set(k1), vertex_set(k2)
+    return k1, k2
 
 
 def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate:
     """Cover a near-split graph by at most two monochromatic components of
-    diameter at most 3 each."""
+    diameter at most 3 each.
+
+    Each clique is spanned by its first color of diameter <= 2, if any. A
+    clique with neither (both colors then have diameter exactly 3) is joined
+    to the center through a base edge of a spanning double star."""
     if G.r != 2:
         raise ValueError(f"cover_near_split requires r=2, got {G.r}")
     s.validate(G)
     log: list[str] = [f"near-split center {s.v}, cliques miss {s.v1} and {s.v2}"]
 
-    k1_m = mask_of(s.k1)
-    k2_m = mask_of(s.k2)
-    verd1 = _classify_within(G, k1_m) if k1_m.bit_count() >= 2 else None
-    verd2 = _classify_within(G, k2_m) if k2_m.bit_count() >= 2 else None
-
-    def small_color(verdict):
+    def small_color(clique):
         """A color of diameter <= 2 on the clique, None for double-three."""
-        if verdict is None:
-            return 1
-        if verdict.case is DiamPattern.BOTH_THREE:
-            return None
-        d1, _d2 = verdict.diameters
-        return 1 if d1 <= 2 else 2
+        return next((c for c in (1, 2) if _mask_diam_le(G.color_rows[c - 1], clique, 2)), None)
 
-    c1 = small_color(verd1)
-    c2 = small_color(verd2)
+    c1 = small_color(s.k1)
+    c2 = small_color(s.k2)
     if c1 is not None and c2 is not None:
-        return _near_split_small(G, s, c1, c2, k1_m, k2_m, log)
+        return _near_split_small(G, s, c1, c2, log)
 
     if c1 is None:
-        verdict, vt, t_m, o_m = verd1, s.v1, k1_m, k2_m
+        vt, t_m, o_m = s.v1, s.k1, s.k2
     else:
-        verdict, vt, t_m, o_m = verd2, s.v2, k2_m, k1_m
+        vt, t_m, o_m = s.v2, s.k2, s.k1
         log.append("double-diameter clique is the second one: roles swapped")
-    b1, b2 = verdict.bases
+    bases = [_bases_within(G, c, t_m) for c in (1, 2)]
+    if not all(bases):
+        raise ProofAssertionError("double-star-clique", "a diameter-3 color has no spanning double star")
+    b1, b2 = bases[0][0], bases[1][0]
     if vt not in b1:
         e, ce = b1, 1
     else:
@@ -476,58 +461,59 @@ def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate
     return _certificate(G, pieces, log, "double-star-clique")
 
 
-def _near_split_small(G, s, c1, c2, k1_m, k2_m, log):
+def _near_split_small(G, s, c1, c2, log):
+    """Both cliques have a color of diameter <= 2 (c1 and c2). Tries the
+    center's edges into each clique, then each missed vertex's edges into its
+    own clique, naming the lowest vertex that fires."""
     branch = "small-diameter-cliques"
 
     def emit(pieces, note):
         log.append(note)
         return _certificate(G, pieces, log, branch)
 
+    rows = G.color_rows
     vb = 1 << s.v
-    for u in sorted(s.k1 - {s.v1}):
-        if G.color_of(s.v, u) == c1:
-            return emit(
-                [(c1, k1_m | vb, 3), (c2, k2_m, 2)],
-                f"center sends color {c1} into the first clique at {u}",
-            )
-    for u in sorted(s.k2 - {s.v2}):
-        if G.color_of(s.v, u) == c2:
-            return emit(
-                [(c2, k2_m | vb, 3), (c1, k1_m, 2)],
-                f"center sends color {c2} into the second clique at {u}",
-            )
-    for u in sorted(s.k1 - {s.v1}):
-        if G.color_of(s.v1, u) == 3 - c1:
-            return emit(
-                [(3 - c1, k1_m | vb, 3), (c2, k2_m, 2)],
-                f"missed vertex {s.v1} sends color {3 - c1} into its clique at {u}",
-            )
-    for u in sorted(s.k2 - {s.v2}):
-        if G.color_of(s.v2, u) == 3 - c2:
-            return emit(
-                [(3 - c2, k2_m | vb, 3), (c1, k1_m, 2)],
-                f"missed vertex {s.v2} sends color {3 - c2} into its clique at {u}",
-            )
-    for u in s.k1 - {s.v1}:
-        if G.color_of(s.v1, u) != c1:
-            raise ProofAssertionError(branch, f"expected all ({s.v1},*) edges in color {c1}")
-    for u in s.k2 - {s.v2}:
-        if G.color_of(s.v2, u) != c2:
-            raise ProofAssertionError(branch, f"expected all ({s.v2},*) edges in color {c2}")
+    b1, b2 = 1 << s.v1, 1 << s.v2
+    # v misses v1 and v2, and no vertex neighbors itself, so these rows
+    # already leave out the missed vertex of each clique
+    if hit := rows[c1 - 1][s.v] & s.k1:
+        return emit(
+            [(c1, s.k1 | vb, 3), (c2, s.k2, 2)],
+            f"center sends color {c1} into the first clique at {next(bits(hit))}",
+        )
+    if hit := rows[c2 - 1][s.v] & s.k2:
+        return emit(
+            [(c2, s.k2 | vb, 3), (c1, s.k1, 2)],
+            f"center sends color {c2} into the second clique at {next(bits(hit))}",
+        )
+    if hit := rows[2 - c1][s.v1] & s.k1:  # row of color 3 - c1
+        return emit(
+            [(3 - c1, s.k1 | vb, 3), (c2, s.k2, 2)],
+            f"missed vertex {s.v1} sends color {3 - c1} into its clique at {next(bits(hit))}",
+        )
+    if hit := rows[2 - c2][s.v2] & s.k2:
+        return emit(
+            [(3 - c2, s.k2 | vb, 3), (c1, s.k1, 2)],
+            f"missed vertex {s.v2} sends color {3 - c2} into its clique at {next(bits(hit))}",
+        )
+    if s.k1 & ~b1 & ~rows[c1 - 1][s.v1]:
+        raise ProofAssertionError(branch, f"expected all ({s.v1},*) edges in color {c1}")
+    if s.k2 & ~b2 & ~rows[c2 - 1][s.v2]:
+        raise ProofAssertionError(branch, f"expected all ({s.v2},*) edges in color {c2}")
     cv = G.color_of(s.v1, s.v2)
     if c1 == c2:
-        star = vb | (k1_m & ~(1 << s.v1)) | (k2_m & ~(1 << s.v2))
+        star = vb | (s.k1 & ~b1) | (s.k2 & ~b2)
         return emit(
-            [(3 - c1, star, 2), (cv, (1 << s.v1) | (1 << s.v2), 1)],
+            [(3 - c1, star, 2), (cv, b1 | b2, 1)],
             f"one star from the center plus the ({s.v1},{s.v2}) edge",
         )
     if cv == c1:
         return emit(
-            [(c1, k1_m | (1 << s.v2), 2), (c1, vb | (k2_m & ~(1 << s.v2)), 2)],
+            [(c1, s.k1 | b2, 2), (c1, vb | (s.k2 & ~b2), 2)],
             f"missed edge has color {c1}: two color-{c1} stars",
         )
     return emit(
-        [(c2, k2_m | (1 << s.v1), 2), (c2, vb | (k1_m & ~(1 << s.v1)), 2)],
+        [(c2, s.k2 | b1, 2), (c2, vb | (s.k1 & ~b1), 2)],
         f"missed edge has color {c2}: two color-{c2} stars",
     )
 
@@ -765,30 +751,32 @@ def _exact_clique_partition(G: ColoredGraph) -> list[int]:
         else:
             greedy.append(1 << v)
     lb, _ = _max_clique(comp, G.full_mask)
-    best = greedy
+    best = [greedy]
     if len(greedy) > lb:
-        state: list[int] = []
+        _partition_dfs(0, comp, lb, [], best)
+    return sorted(best[0], key=lambda m: m & -m)
 
-        def dfs(v: int) -> None:
-            nonlocal best
-            if len(best) == lb:
-                return
-            if v == n:
-                if len(state) < len(best):
-                    best = list(state)
-                return
-            if len(state) >= len(best):
-                return
-            bv = 1 << v
-            for i, cls in enumerate(state):
-                if not (cls & comp[v]):
-                    state[i] = cls | bv
-                    dfs(v + 1)
-                    state[i] = cls
-            if len(state) + 1 < len(best):
-                state.append(bv)
-                dfs(v + 1)
-                state.pop()
 
-        dfs(0)
-    return sorted(best, key=lambda m: m & -m)
+def _partition_dfs(v: int, comp: list[int], lb: int, state: list[int], best: list[list[int]]) -> None:
+    """One node of `_exact_clique_partition`: puts vertex v into each class
+    of `state` it fits, then into a new class, keeping the smallest complete
+    partition in best[0] and stopping at the lower bound lb. A module-level
+    function, so that the recursion leaves no reference cycle behind."""
+    if len(best[0]) == lb:
+        return
+    if v == len(comp):
+        if len(state) < len(best[0]):
+            best[0] = list(state)
+        return
+    if len(state) >= len(best[0]):
+        return
+    bv = 1 << v
+    for i, cls in enumerate(state):
+        if not (cls & comp[v]):
+            state[i] = cls | bv
+            _partition_dfs(v + 1, comp, lb, state, best)
+            state[i] = cls
+    if len(state) + 1 < len(best[0]):
+        state.append(bv)
+        _partition_dfs(v + 1, comp, lb, state, best)
+        state.pop()

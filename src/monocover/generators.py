@@ -7,7 +7,6 @@ applies), so test suites and command lines can cite exact instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .graph import ColoredGraph, build_graph
 
@@ -188,36 +187,3 @@ def gen_random_alpha2(n: int, p: float, seed: int) -> ColoredGraph:
                 edges.append((u, v, 1 if rng.random() < 0.5 else 2))
     return build_graph(n, 2, edges)
 
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """A named family plus its parameters; `build` produces the instance."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> ColoredGraph:
-        p = self.params
-        if self.family == "p42":
-            return gen_p42(p.get("copies", 1))
-        if self.family == "antihole":
-            return gen_antihole(p.get("k", 3), p.get("scheme", "distance-split"))
-        if self.family == "k7triple":
-            return gen_k7_triple(p.get("copies", 1))
-        if self.family == "matching-complement":
-            return gen_matching_complement(p.get("n", 4))
-        if self.family == "random-alpha2":
-            return gen_random_alpha2(p.get("n", 8), p.get("p", 0.3), p.get("seed", 0))
-        if self.family == "substitution":
-            sizes = list(p.get("sizes", (1, 1, 1, 1, 1)))
-            base = p.get("base") or house_skeleton(p.get("free_color", 2))
-            inner = p.get("inner")
-            if inner is None:
-                inner = [_complete_block(s) for s in sizes]
-            return gen_substitution(base, sizes, inner)
-        raise ValueError(f"unknown family {self.family!r}")
-
-
-def _complete_block(s: int) -> ColoredGraph:
-    edges = [(u, v, 1) for u in range(s) for v in range(u + 1, s)]
-    return build_graph(s, 2, edges)

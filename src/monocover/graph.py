@@ -249,41 +249,42 @@ def _max_clique(rows: list[int], start: int) -> tuple[int, int]:
     """
     if start == 0:
         return 0, 0
-    best_size = 0
-    best_mask = 0
-    nodes = 0
+    best = [0, 0, 0]  # size, vertex mask, nodes expanded
+    _expand(rows, start, 0, 0, best)
+    return best[0], best[1]
 
-    def expand(cand: int, cur_mask: int, cur_size: int) -> None:
-        nonlocal best_size, best_mask, nodes
-        nodes += 1
-        if nodes > MAX_CLIQUE_NODES:
-            raise LimitExceeded(f"maximum clique search exceeds {MAX_CLIQUE_NODES} branch-and-bound nodes")
-        order: list[tuple[int, int]] = []
-        rest = cand
-        bound = 0
-        while rest:
-            bound += 1
-            avail = rest
-            while avail:
-                b = avail & -avail
-                avail ^= b
-                avail &= ~rows[b.bit_length() - 1]
-                rest ^= b
-                order.append((b, bound))
-        for b, bnd in reversed(order):
-            if cur_size + bnd <= best_size:
-                return
-            v = b.bit_length() - 1
-            ncand = cand & rows[v]
-            if ncand:
-                expand(ncand, cur_mask | b, cur_size + 1)
-            elif cur_size + 1 > best_size:
-                best_size = cur_size + 1
-                best_mask = cur_mask | b
-            cand ^= b
 
-    expand(start, 0, 0)
-    return best_size, best_mask
+def _expand(rows: list[int], cand: int, cur_mask: int, cur_size: int, best: list[int]) -> None:
+    """One node of `_max_clique`: extends the clique `cur_mask` by vertices of
+    `cand`, recording larger cliques and the node count in `best`. A
+    module-level function, so that the recursion leaves no reference cycle
+    behind."""
+    best[2] += 1
+    if best[2] > MAX_CLIQUE_NODES:
+        raise LimitExceeded(f"maximum clique search exceeds {MAX_CLIQUE_NODES} branch-and-bound nodes")
+    order: list[tuple[int, int]] = []
+    rest = cand
+    bound = 0
+    while rest:
+        bound += 1
+        avail = rest
+        while avail:
+            b = avail & -avail
+            avail ^= b
+            avail &= ~rows[b.bit_length() - 1]
+            rest ^= b
+            order.append((b, bound))
+    for b, bnd in reversed(order):
+        if cur_size + bnd <= best[0]:
+            return
+        v = b.bit_length() - 1
+        ncand = cand & rows[v]
+        if ncand:
+            _expand(rows, ncand, cur_mask | b, cur_size + 1, best)
+        elif cur_size + 1 > best[0]:
+            best[0] = cur_size + 1
+            best[1] = cur_mask | b
+        cand ^= b
 
 
 def independence_number(G: ColoredGraph) -> tuple[int, frozenset[int]]:
@@ -330,12 +331,6 @@ class CoverCertificate:
 
     def __len__(self) -> int:
         return len(self.components)
-
-    def covered(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for comp in self.components:
-            out |= comp.vertices
-        return out
 
     def bounds(self) -> tuple[int, ...]:
         return tuple(c.bound for c in self.components)

@@ -9,12 +9,13 @@ questions: the minimum number of diameter-<=d components covering all
 vertices, and whether a cover exists with at most one component per
 prescribed bound. Restricting to maximal candidates is lossless because any
 cover component lies inside a maximal candidate of the same color and bound.
+Candidates are (color, vertex mask) pairs throughout; only the certificates
+returned hold frozensets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .graph import (
     ColoredGraph,
@@ -25,27 +26,15 @@ from .graph import (
     _mask_diam_le,
     _mask_diameter,
     bits,
-    mask_of,
     vertex_set,
 )
 
 DEFAULT_MAX_N = 18
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
-    """All inclusion-maximal (color, vertex set) pairs of diameter <= d."""
-
-    d: int
-    candidates: tuple[tuple[int, frozenset[int]], ...]
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-
-def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> CandidateFamily:
+def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, int]]:
     """Exactly the maximal diameter-<=d monochromatic vertex sets per color,
-    sorted by (color, vertex mask).
+    as a list of (color, vertex mask) pairs sorted by color, then mask.
 
     Per color, every clique of the color graph's d-th power is enumerated
     once, by a depth-first search that extends a clique only by higher
@@ -83,7 +72,7 @@ def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> C
                 kept.append(m)
         out.extend((color, m) for m in kept)
     out.sort()
-    return CandidateFamily(d, tuple((c, vertex_set(m)) for c, m in out))
+    return out
 
 
 def _families(G: ColoredGraph, bounds, max_n: int):
@@ -93,7 +82,7 @@ def _families(G: ColoredGraph, bounds, max_n: int):
     fams: dict[int, list[tuple[int, int]]] = {}
     through: dict[int, list[list[int]]] = {}
     for d in sorted(set(bounds)):
-        fams[d] = fam = [(c, mask_of(vs)) for c, vs in maximal_candidates(G, d, max_n).candidates]
+        fams[d] = fam = maximal_candidates(G, d, max_n)
         through[d] = lists = [[] for _ in range(G.n)]
         cover_of = [0] * G.n  # kept from the last, largest bound
         for idx, (_c, m) in enumerate(fam):

@@ -151,41 +151,10 @@ def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
     # lower ends of isolated edges: degree 1, with a higher neighbor of degree 1
     lower = mask_of(v for v in range(n) if degree[v] == 1 and adj[v] >> v and degree[adj[v].bit_length() - 1] == 1)
 
-    def stabilizer(fixed: int) -> list[tuple[int, ...]] | None:
-        """Vertex automorphisms fixing 0..fixed-1 and every isolated vertex,
-        by backtracking over vertices in order; None past the cap."""
-        img = [0] * n
-        found = []
-
-        def extend(v: int, used: int) -> bool:
-            if v == n:
-                found.append(tuple(img))
-                return len(found) <= _AUTOMORPHISM_CAP
-            if v < fixed or not adj[v]:
-                img[v] = v
-                return extend(v + 1, used | 1 << v)
-            want = 0  # images of v's neighbours mapped so far
-            back = adj[v] & ((1 << v) - 1)
-            while back:
-                low = back & -back
-                want |= 1 << img[low.bit_length() - 1]
-                back ^= low
-            for w in range(n):
-                if (
-                    not used >> w & 1
-                    and degree[w] == degree[v]
-                    and adj[w] & used == want
-                    and lower >> w & 1 == lower >> v & 1
-                ):
-                    img[v] = w
-                    if not extend(v + 1, used | 1 << w):
-                        return False
-            return True
-
-        return found if extend(0, 0) else None
-
     fixed = 0
-    while (maps := stabilizer(fixed)) is None:
+    maps: list[tuple[int, ...]] = []
+    while not _extend(0, 0, fixed, adj, degree, lower, [0] * n, maps):
+        maps.clear()
         fixed += 1
     pairs = sorted(host.edge_color)
     index = {e: i for i, e in enumerate(pairs)}
@@ -194,6 +163,39 @@ def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
     }
     perms.discard(tuple(range(len(pairs))))
     return sorted(perms)
+
+
+def _extend(v: int, used: int, fixed: int, adj, degree, lower: int, img: list[int], found: list) -> bool:
+    """One node of the backtracking over vertices in order that lists the
+    vertex automorphisms fixing 0..fixed-1 and every isolated vertex: maps v
+    and the vertices after it, given the images `used` so far, and appends
+    each complete map to `found`; False once there are more than
+    _AUTOMORPHISM_CAP. A module-level function, so that the recursion leaves
+    no reference cycle behind."""
+    n = len(adj)
+    if v == n:
+        found.append(tuple(img))
+        return len(found) <= _AUTOMORPHISM_CAP
+    if v < fixed or not adj[v]:
+        img[v] = v
+        return _extend(v + 1, used | 1 << v, fixed, adj, degree, lower, img, found)
+    want = 0  # images of v's neighbours mapped so far
+    back = adj[v] & ((1 << v) - 1)
+    while back:
+        low = back & -back
+        want |= 1 << img[low.bit_length() - 1]
+        back ^= low
+    for w in range(n):
+        if (
+            not used >> w & 1
+            and degree[w] == degree[v]
+            and adj[w] & used == want
+            and lower >> w & 1 == lower >> v & 1
+        ):
+            img[v] = w
+            if not _extend(v + 1, used | 1 << w, fixed, adj, degree, lower, img, found):
+                return False
+    return True
 
 
 def _compare_image(digits: list[int], p: tuple[int, ...], r: int, target) -> int:

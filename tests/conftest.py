@@ -2,10 +2,24 @@
 deliberately naive so they cannot share bugs with the package code."""
 
 import functools
+import gc
 import itertools
 import random
 
 from monocover.graph import ColoredGraph, build_graph
+
+
+def unreachable_after(call) -> int:
+    """The objects only the cyclic collector frees after call(): 0 when
+    reference counting frees everything the call allocated, that is, when no
+    recursive closure or other cycle keeps its data alive."""
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def rand_colored(n: int, p_edge: float, seed: int, r: int = 2) -> ColoredGraph:
@@ -286,3 +300,31 @@ def two_clique_split(G: ColoredGraph, v: int, a: int, b: int):
         k1 |= first
         k2 |= members - first
     return k1, k2
+
+
+def pair_partition_reference(G: ColoredGraph, x: int, y: int) -> dict[str, set[int]]:
+    """Reference for covers.pair_partition on a nonadjacent pair (x, y): the
+    eight parts and the side cliques kx and ky as vertex sets, by a color_of
+    scan of each vertex into buckets keyed by its colors to x and to y.
+    Raises ValueError as pair_partition does: at the first vertex adjacent to
+    neither endpoint, else at the first side that is not a clique."""
+    parts: dict[str, set[int]] = {k: set() for k in ("a11", "a22", "a12", "a21", "ax1", "ax2", "ay1", "ay2")}
+    for v in range(G.n):
+        if v in (x, y):
+            continue
+        cx = G.color_of(v, x)
+        cy = G.color_of(v, y)
+        if cx is None and cy is None:
+            raise ValueError(f"vertex {v} is adjacent to neither {x} nor {y}: independent triple")
+        if cx is not None and cy is not None:
+            parts[f"a{cx}{cy}"].add(v)
+        elif cx is not None:
+            parts[f"ax{cx}"].add(v)
+        else:
+            parts[f"ay{cy}"].add(v)
+    parts["kx"] = parts["ax1"] | parts["ax2"] | {x}
+    parts["ky"] = parts["ay1"] | parts["ay2"] | {y}
+    for name in ("x", "y"):
+        if any(not G.has_edge(u, w) for u, w in itertools.combinations(parts["k" + name], 2)):
+            raise ValueError(f"side clique around {name} is not complete: independence number exceeds 2")
+    return parts

@@ -14,8 +14,16 @@ from conftest import matching_union
 import monocover
 from monocover import graph
 from monocover.cli import run
-from monocover.generators import gen_antihole, gen_p42
-from monocover.graph import format_graph, parse_certificate, parse_combined, parse_graph
+from monocover.generators import (
+    gen_antihole,
+    gen_k7_triple,
+    gen_matching_complement,
+    gen_p42,
+    gen_random_alpha2,
+    gen_substitution,
+    house_skeleton,
+)
+from monocover.graph import build_graph, format_graph, parse_certificate, parse_combined, parse_graph
 
 
 def invoke(capsys, monkeypatch, argv, stdin_text=""):
@@ -49,6 +57,25 @@ def test_gen_seed_is_printed_and_deterministic(capsys, monkeypatch):
     assert "seed = 5" in err1
     _, out3, err3 = invoke(capsys, monkeypatch, ["gen", "--family", "random-alpha2"])
     assert "seed = 0" in err3
+
+
+def test_gen_families_match_generators(capsys, monkeypatch):
+    blocks = [build_graph(s, 2, [(u, v, 1) for u in range(s) for v in range(u + 1, s)]) for s in (2, 1, 3, 1, 2)]
+    cases = [
+        (["p42", "--copies", "2"], gen_p42(2)),
+        (["antihole", "--k", "4", "--scheme", "uniform:2"], gen_antihole(4, "uniform:2")),
+        (["k7triple", "--copies", "2"], gen_k7_triple(2)),
+        (["matching-complement"], gen_matching_complement(8)),  # the CLI default n
+        (["random-alpha2", "--n", "9", "--p", "0.5", "--seed", "3"], gen_random_alpha2(9, 0.5, 3)),
+        (
+            ["substitution", "--sizes", "2,1,3,1,2", "--free-color", "1"],
+            gen_substitution(house_skeleton(1), [2, 1, 3, 1, 2], blocks),
+        ),
+    ]
+    for argv, expected in cases:
+        code, out, _ = invoke(capsys, monkeypatch, ["gen", "--family", *argv])
+        assert code == 0 and parse_graph(out) == expected, argv
+    assert invoke(capsys, monkeypatch, ["gen", "--family", "mystery"])[0] == 2
 
 
 def test_pipeline_gen_cover_verify(capsys, monkeypatch):

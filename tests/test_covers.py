@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from conftest import complement_bipartite, complete_colored, matching_union, rand_colored, two_clique_split
+from conftest import (
+    complement_bipartite,
+    complete_colored,
+    matching_union,
+    pair_partition_reference,
+    rand_colored,
+    two_clique_split,
+    unreachable_after,
+)
 from monocover import covers, graph
 from monocover.covers import (
     NearSplitStructure,
@@ -21,10 +29,12 @@ from monocover.covers import (
 from monocover.generators import gen_antihole, gen_matching_complement, gen_random_alpha2
 from monocover.graph import (
     LimitExceeded,
+    bits,
     build_graph,
     format_certificate,
     independence_number,
     is_complement_bipartite,
+    mask_of,
     verify_cover,
 )
 
@@ -52,36 +62,68 @@ def two_cliques(n1, n2, seed):
 # -- pair partition -----------------------------------------------------------
 
 
+def parts(part):
+    """The eight masks of a PairPartition and its two side cliques, as sets."""
+    names = ("a11", "a22", "a12", "a21", "ax1", "ax2", "ay1", "ay2", "kx", "ky")
+    return {name: set(bits(getattr(part, name))) for name in names}
+
+
 def test_pair_partition_antihole_frozen():
     G = gen_antihole(3)
     part = pair_partition(G, 0, 1)
-    assert part.ax1 == frozenset({2}) and part.ax2 == frozenset()
-    assert part.ay1 == frozenset({6}) and part.ay2 == frozenset()
-    assert part.a11 == frozenset()
-    assert part.a12 == frozenset({5})
-    assert part.a21 == frozenset({3})
-    assert part.a22 == frozenset({4})
-    assert part.kx == frozenset({0, 2}) and part.ky == frozenset({1, 6})
+    assert parts(part) == {
+        "a11": set(), "a22": {4}, "a12": {5}, "a21": {3},
+        "ax1": {2}, "ax2": set(), "ay1": {6}, "ay2": set(),
+        "kx": {0, 2}, "ky": {1, 6},
+    }
 
     colors = part.swap_colors()
     assert (colors.x, colors.y) == (0, 1)
-    assert colors.ax1 == frozenset() and colors.ax2 == frozenset({2})
-    assert colors.ay1 == frozenset() and colors.ay2 == frozenset({6})
-    assert colors.a11 == frozenset({4}) and colors.a22 == frozenset()
-    assert colors.a12 == frozenset({3}) and colors.a21 == frozenset({5})
-    assert colors.kx == part.kx and colors.ky == part.ky
+    assert parts(colors) == {
+        "a11": {4}, "a22": set(), "a12": {3}, "a21": {5},
+        "ax1": set(), "ax2": {2}, "ay1": set(), "ay2": {6},
+        "kx": {0, 2}, "ky": {1, 6},
+    }
 
     roles = part.swap_roles()
     assert (roles.x, roles.y) == (1, 0)
-    assert roles.ax1 == frozenset({6}) and roles.ax2 == frozenset()
-    assert roles.ay1 == frozenset({2}) and roles.ay2 == frozenset()
-    assert roles.a11 == frozenset() and roles.a22 == frozenset({4})
-    assert roles.a12 == frozenset({3}) and roles.a21 == frozenset({5})
-    assert roles.kx == frozenset({1, 6}) and roles.ky == frozenset({0, 2})
+    assert parts(roles) == {
+        "a11": set(), "a22": {4}, "a12": {3}, "a21": {5},
+        "ax1": {6}, "ax2": set(), "ay1": {2}, "ay2": set(),
+        "kx": {1, 6}, "ky": {0, 2},
+    }
     assert roles == pair_partition(G, 1, 0)
 
     assert colors.swap_colors() == part and roles.swap_roles() == part
     assert colors.swap_roles() == roles.swap_colors()
+
+
+def test_pair_partition_matches_reference():
+    """The row intersections split every nonadjacent pair as the per-vertex
+    scan does, on alpha = 2 graphs and recolored antiholes; on graphs with
+    larger alpha both raise the same error, naming the lowest vertex that
+    sees neither endpoint."""
+    alpha2 = [gen_random_alpha2(n, 0.2 + 0.6 * (n % 4) / 4, seed=70_000 + n) for n in range(5, 21)]
+    antiholes = [recolor(gen_antihole(k), 71_000 + k) for k in (2, 3, 4, 5)]
+    wider = [rand_colored(n, 0.5, seed=72_000 + n) for n in range(3, 13)]
+    triples = 0
+    for G in alpha2 + antiholes + wider:
+        for x in range(G.n):
+            for y in range(G.n):
+                if x == y or G.has_edge(x, y):
+                    continue
+                try:
+                    expected = pair_partition_reference(G, x, y)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        pair_partition(G, x, y)
+                    assert str(info.value) == str(exc)
+                    triples += "independent triple" in str(exc)
+                    continue
+                part = pair_partition(G, x, y)
+                assert (part.x, part.y) == (x, y)
+                assert parts(part) == expected, (G.edges(), x, y)
+    assert triples
 
 
 def test_pair_partition_rejects():
@@ -123,7 +165,7 @@ def test_complement_two_coloring_matches_references():
                 for b in range(G.n):
                     split = covers._two_clique_split(G, v, a, b)
                     ref = two_clique_split(G, v, a, b)
-                    assert split == (None if ref is None else tuple(map(frozenset, ref))), (G.edges(), v, a, b)
+                    assert split == (None if ref is None else tuple(map(mask_of, ref))), (G.edges(), v, a, b)
                     outcomes["no-split" if split is None else "split"] += 1
     assert all(outcomes.values()), outcomes
 
@@ -178,9 +220,7 @@ def test_cover_alpha2_logs_choices():
 def test_detect_near_split_antihole_frozen():
     G = gen_antihole(3)
     s = detect_near_split(G)
-    assert s == NearSplitStructure(
-        v=0, k1=frozenset({1, 3, 5}), k2=frozenset({2, 4, 6}), v1=1, v2=6
-    )
+    assert s == NearSplitStructure(v=0, k1=mask_of({1, 3, 5}), k2=mask_of({2, 4, 6}), v1=1, v2=6)
     s.validate(G)
 
 
@@ -194,8 +234,8 @@ def test_detect_near_split_negative():
 
 def test_near_split_structure_validate_rejects():
     G = gen_antihole(3)
-    bad = NearSplitStructure(v=0, k1=frozenset({1, 3}), k2=frozenset({2, 4, 6}), v1=1, v2=6)
-    with pytest.raises(ValueError):
+    bad = NearSplitStructure(v=0, k1=mask_of({1, 3}), k2=mask_of({2, 4, 6}), v1=1, v2=6)
+    with pytest.raises(ValueError, match="do not partition"):
         bad.validate(G)
 
 
@@ -483,6 +523,11 @@ def test_cover_via_cliques_counts():
         cert = cover_via_cliques(G)
         assert len(cert) == _chromatic_number(G.n, comp_edges)
         assert verify_cover(G, cert)
+
+
+def test_cover_via_cliques_leaves_no_reference_cycles():
+    G = rand_colored(12, 0.5, seed=0)  # the partition search runs past its greedy start here
+    assert unreachable_after(lambda: cover_via_cliques(G)) == 0
 
 
 def test_cover_via_cliques_limit():

@@ -3,7 +3,6 @@ import pytest
 from conftest import brute_alpha, fw_diameter, mono_edge_pairs
 from monocover.classify import DiamPattern, check_house_membership, classify_complete
 from monocover.generators import (
-    InstanceSpec,
     gen_antihole,
     gen_k7_triple,
     gen_matching_complement,
@@ -173,14 +172,3 @@ def test_gen_random_alpha2_contract():
     with pytest.raises(ValueError):
         gen_random_alpha2(5, 1.5, seed=0)
 
-
-def test_instance_spec_dispatch():
-    assert InstanceSpec("p42", {"copies": 2}).build() == gen_p42(2)
-    assert InstanceSpec("antihole", {"k": 4}).build() == gen_antihole(4)
-    assert InstanceSpec("k7triple", {}).build() == gen_k7_triple(1)
-    assert InstanceSpec("matching-complement", {"n": 6}).build() == gen_matching_complement(6)
-    assert InstanceSpec("random-alpha2", {"n": 9, "p": 0.5, "seed": 3}).build() == gen_random_alpha2(9, 0.5, 3)
-    sub = InstanceSpec("substitution", {"sizes": (2, 1, 3, 1, 2)}).build()
-    assert sub.n == 9
-    with pytest.raises(ValueError):
-        InstanceSpec("mystery", {}).build()

@@ -15,6 +15,7 @@ from conftest import (
     odd_cycle_through,
     odd_walk_length,
     rand_colored,
+    unreachable_after,
 )
 from monocover.graph import (
     UNREACHABLE,
@@ -101,6 +102,11 @@ def test_independence_number_brute_force():
         assert len(witness) == a
         for u, v in itertools.combinations(sorted(witness), 2):
             assert not (G.adj_rows[u] >> v) & 1
+
+
+def test_independence_number_leaves_no_reference_cycles():
+    G = rand_colored(20, 0.3, seed=5)  # 8 unreachable objects per call when the search was a closure
+    assert unreachable_after(lambda: independence_number(G)) == 0
 
 
 def test_max_clique_brute_force():

@@ -1,5 +1,6 @@
-"""Every name a monocover module imports is used in that module, and every
-top-level private function or class is used elsewhere in the package."""
+"""Every name a monocover module imports is used in that module, every
+top-level private function or class is used elsewhere in the package, and no
+nested function calls itself."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,27 @@ def dead_private(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+def recursive_closures(source: str) -> list[str]:
+    """Functions nested in another function that refer to their own name.
+    Such a function and the closure cell holding it form a reference cycle,
+    so each call of the enclosing function leaves garbage for the cyclic
+    collector; a module-level recursion or an explicit stack leaves none."""
+    tree = ast.parse(source)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = {
+        inner
+        for outer in ast.walk(tree)
+        if isinstance(outer, defs)
+        for inner in ast.walk(outer)
+        if isinstance(inner, defs) and inner is not outer
+    }
+    return [
+        f"line {fn.lineno}: {fn.name}"
+        for fn in sorted(nested, key=lambda fn: fn.lineno)
+        if any(isinstance(node, ast.Name) and node.id == fn.name for node in ast.walk(fn))
+    ]
+
+
 def test_no_unused_imports():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -75,3 +97,33 @@ def test_dead_private_check_catches_one():
     b = "from .a import _used\n_used()\n"
     assert dead_private({"a.py": a, "b.py": b}) == ["a.py: _dead", "a.py: _Gone"]
     assert dead_private({"a.py": a, "c.py": "import a\na._dead\na._Gone()\n"}) == ["a.py: _used"]
+
+
+def test_no_recursive_closures():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        closures = recursive_closures(path.read_text())
+        if closures:
+            found[path.name] = closures
+    assert not found, found
+
+
+def test_recursive_closure_check_catches_one():
+    source = (
+        "def top(n):\n"
+        "    return top(n - 1) if n else 0\n"
+        "\n"
+        "def outer(k):\n"
+        "    def helper():\n"
+        "        return k\n"
+        "    def walk(v):\n"
+        "        def deeper(w):\n"
+        "            return deeper(w - 1) if w else helper()\n"
+        "        return walk(v - 1) if v else deeper(k)\n"
+        "    return walk(k)\n"
+        "\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        return self.method()\n"
+    )
+    assert recursive_closures(source) == ["line 7: walk", "line 8: deeper"]

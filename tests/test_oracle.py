@@ -1,10 +1,9 @@
-import gc
 import hashlib
 import itertools
 
 import pytest
 
-from conftest import bounds_cover_reachable, dp_min_cover, qualifying_masks, rand_colored
+from conftest import bounds_cover_reachable, dp_min_cover, qualifying_masks, rand_colored, unreachable_after
 from monocover.generators import gen_antihole, gen_k7_triple, gen_p42
 from monocover.graph import LimitExceeded, build_graph, format_certificate, verify_cover
 from monocover.oracle import exists_bounds_cover, maximal_candidates, min_cover_exact
@@ -73,39 +72,34 @@ def test_min_cover_degenerate():
 
 
 def test_maximal_candidates_properties():
-    """The family is exactly the inclusion-maximal qualifying sets of each
-    color, by the Floyd-Warshall reference, for n = 0..7, r = 1..3 and
-    d = 0..4: empty at n = 0, the singletons of every color at d = 0."""
+    """The family is exactly the inclusion-maximal qualifying masks of each
+    color, by the Floyd-Warshall reference, as (color, mask) pairs sorted
+    without repeats, for n = 0..7, r = 1..3 and d = 0..4: empty at n = 0,
+    the singletons of every color at d = 0."""
     for n in range(8):
         for r in (1, 2, 3):
             for k, p in enumerate((0.3, 0.6, 0.9)):
                 G = rand_colored(n, p, seed=2000 + 100 * n + 10 * r + k, r=r)
                 for d in range(5):
-                    listed = {(c, frozenset(vs)) for c, vs in maximal_candidates(G, d).candidates}
+                    listed = maximal_candidates(G, d)
                     expected = set()
                     for color in range(1, r + 1):
-                        qual = [frozenset(v for v in range(n) if m >> v & 1) for m in qualifying_masks(G, color, d)]
-                        expected |= {(color, s) for s in qual if not any(s < t for t in qual)}
-                    assert listed == expected, (n, r, p, d)
+                        qual = qualifying_masks(G, color, d)
+                        expected |= {(color, m) for m in qual if not any(m != t and m & t == m for t in qual)}
+                    assert listed == sorted(expected), (n, r, p, d)
                     if n == 0:
-                        assert listed == set()
+                        assert listed == []
                     if d == 0:
-                        assert listed == {(c, frozenset({v})) for c in range(1, r + 1) for v in range(n)}
+                        assert listed == [(c, 1 << v) for c in range(1, r + 1) for v in range(n)]
 
 
 def test_oracle_calls_leave_no_reference_cycles():
-    """With the cyclic collector off, everything an oracle call allocates is
-    freed by reference counting: no recursive closure keeps its lists alive."""
+    """Everything an oracle call allocates is freed by reference counting: no
+    recursive closure keeps its lists alive."""
     G = rand_colored(12, 0.4, seed=12)
     calls = ((maximal_candidates, 2), (min_cover_exact, 2), (exists_bounds_cover, [2, 2, 2]))
-    gc.disable()
-    try:
-        for fn, arg in calls:
-            gc.collect()
-            fn(G, arg)
-            assert gc.collect() == 0, fn.__name__
-    finally:
-        gc.enable()
+    for fn, arg in calls:
+        assert unreachable_after(lambda: fn(G, arg)) == 0, fn.__name__
 
 
 def test_exists_bounds_cover_basics():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import unreachable_after
 from monocover import cli, search
 from monocover.generators import gen_antihole, gen_matching_complement, gen_p42
 from monocover.graph import LimitExceeded, build_graph, format_graph
@@ -295,6 +296,11 @@ def test_edge_automorphisms_match_brute_force():
     for _ in range(50):
         host = random_host(rng, rng.randint(0, 7))
         assert _edge_automorphisms(host) == brute_edge_automorphisms(host), format_graph(host)
+
+
+def test_edge_automorphisms_leave_no_reference_cycles():
+    host = gen_antihole(3)
+    assert unreachable_after(lambda: _edge_automorphisms(host)) == 0
 
 
 def test_edge_automorphism_group_orders():
