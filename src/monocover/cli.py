@@ -38,6 +38,7 @@ from .graph import (
     ColoredGraph,
     CoverCertificate,
     LimitExceeded,
+    UNREACHABLE,
     build_graph,
     format_certificate,
     format_combined,
@@ -124,7 +125,7 @@ def _cmd_gen(args) -> int:
     if family == "random-alpha2":
         print(f"seed = {args.seed}", file=sys.stderr)
     elif family == "substitution":
-        params["sizes"] = [int(s) for s in args.sizes.split(",")]
+        params["sizes"] = _parse_int_list(args.sizes, "--sizes")
     G = generate(*params.values())
     detail = " ".join(f"{k}={v}" for k, v in params.items())
     _write_text(args.out, format_graph(G, comments=[f"gen {family} {detail}".rstrip()]))
@@ -137,10 +138,9 @@ def _cmd_gen(args) -> int:
 def _cmd_classify(args) -> int:
     G = _load_graph(getattr(args, "in"))
     verdict = classify_complete(G)
-    d1, d2 = verdict.diameters
     lines = [
         f"case = {verdict.case.value}",
-        f"diameters = {d1},{d2}",
+        "diameters = " + ",".join("unreachable" if d == UNREACHABLE else str(d) for d in verdict.diameters),
         f"role_swap = {int(verdict.role_swap)}",
     ]
     if verdict.case is DiamPattern.OVER_THREE:

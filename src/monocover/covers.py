@@ -60,6 +60,11 @@ class ProofAssertionError(RuntimeError):
         self.branch = branch
 
 
+def _require_r2(G: ColoredGraph, op: str) -> None:
+    if G.r != 2:
+        raise ValueError(f"{op} requires r=2, got {G.r}")
+
+
 def _is_complete_mask(G: ColoredGraph, mask: int) -> bool:
     for v in bits(mask):
         if mask & ~G.adj_rows[v] & ~(1 << v):
@@ -148,8 +153,7 @@ def pair_partition(G: ColoredGraph, x: int, y: int) -> PairPartition:
     Valid when the independence number is 2; a vertex adjacent to neither
     endpoint (the lowest one is named), or a non-complete side clique,
     witnesses alpha > 2 and is an error."""
-    if G.r != 2:
-        raise ValueError(f"pair_partition requires r=2, got {G.r}")
+    _require_r2(G, "pair_partition")
     if x == y or not (0 <= x < G.n and 0 <= y < G.n):
         raise ValueError(f"invalid pair ({x},{y})")
     if G.has_edge(x, y):
@@ -191,8 +195,7 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     The precondition is checked without computing alpha: G has a non-edge
     (alpha >= 2) and its complement has no triangle (alpha <= 2).
     """
-    if G.r != 2:
-        raise ValueError(f"cover_alpha2 requires r=2, got {G.r}")
+    _require_r2(G, "cover_alpha2")
     comp = G.complement_rows()
     if not any(comp) or _complement_triangle(comp) is not None:
         alpha, _ = independence_number(G)
@@ -267,27 +270,15 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     d_blue_kx = _mask_diameter(blue_rows, kx)
     if d_blue_kx <= 3:
         # x-side clique is usable in the second color
-        target = part.ax2 | ky
-        bad = next((z for z in bits(part.a11) if not blue_rows[z] & target), None)
+        bad, a11x = _split_across(blue_rows, part.a11, part.ax2, ky)
         if bad is None:
-            a11x = mask_of(z for z in bits(part.a11) if blue_rows[z] & part.ax2)
-            a11y = part.a11 & ~a11x
-            for z in bits(a11y):
-                if not (blue_rows[z] & ky):
-                    raise ProofAssertionError("blue-split", f"{z} sends no color-{blue} edge to either side")
             m1 = kx | a11x | part.a21
-            m2 = ky | a11y | part.a12
+            m2 = ky | (part.a11 & ~a11x) | part.a12
             log.append(
                 f"every homogeneous vertex sends a color-{blue} edge across: two color-{blue} components"
             )
             return _certificate(G, [(blue, m1, 4), (blue, m2, 4)], log, "blue-split")
-        z_rest = target & ~G.adj_rows[bad]
-        if z_rest and not _is_complete_mask(G, z_rest):
-            raise ProofAssertionError("triple-star", f"non-neighbors of {bad} do not form a clique")
-        pieces = []
-        if z_rest:
-            zc, _zd = _spanning_mono_within(G, z_rest)
-            pieces.append((zc, z_rest, 3))
+        pieces = _non_neighbor_clique(G, bad, part.ax2 | ky, "triple-star")
         triple = pair | part.ax1 | part.a11 | part.a12 | part.a21 | red_rows[bad]
         pieces.append((red, triple, 4))
         log.append(
@@ -300,25 +291,13 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
     if d_red_kx > 2:
         raise ProofAssertionError("red-partition", f"x-side clique should have color-{red} diameter <= 2")
     ystar = 1 << part.y | part.ay1 | part.a11 | part.a21
-    reach = G.full_mask & ~(part.ay2 | part.a12)
-    bad = next((z for z in bits(part.ay2) if not red_rows[z] & reach), None)
+    bad, sx = _split_across(red_rows, part.ay2, kx, ystar)
     if bad is None:
-        sx = mask_of(v for v in bits(part.ay2) if red_rows[v] & kx)
-        sy = part.ay2 & ~sx
-        for v in bits(sy):
-            if not (red_rows[v] & ystar):
-                raise ProofAssertionError("red-partition", f"{v} sends no color-{red} edge to either part")
         m1 = kx | part.a12 | sx
-        m2 = ystar | sy
+        m2 = ystar | (part.ay2 & ~sx)
         log.append(f"every y-only color-{blue} vertex sends color-{red} across: two color-{red} components")
         return _certificate(G, [(red, m1, 4), (red, m2, 4)], log, "red-partition")
-    z_rest = reach & ~G.adj_rows[bad]
-    if z_rest and not _is_complete_mask(G, z_rest):
-        raise ProofAssertionError("blue-star-extension", f"non-neighbors of {bad} do not form a clique")
-    pieces = []
-    if z_rest:
-        zc, _zd = _spanning_mono_within(G, z_rest)
-        pieces.append((zc, z_rest, 3))
+    pieces = _non_neighbor_clique(G, bad, kx | ystar, "blue-star-extension")
     ext = 1 << part.y | part.ay2 | part.a12 | blue_rows[bad]
     pieces.append((blue, ext, 3))
     log.append(
@@ -326,6 +305,31 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
         f"plus spanning clique on its non-neighbors"
     )
     return _certificate(G, pieces, log, "blue-star-extension")
+
+
+def _split_across(rows: list[int], s: int, a: int, b: int) -> tuple[int | None, int]:
+    """The split-or-star lemma of cover_alpha2, for the part s against the
+    disjoint parts a and b in the color whose rows are given: (None, sa) when
+    every vertex of s has an edge of that color into a | b, sa being those
+    with one into a (the rest have one into b), else (z, 0) for the lowest
+    vertex z of s with none, whose non-neighbors in a | b form a clique."""
+    bad = next((z for z in bits(s) if not rows[z] & (a | b)), None)
+    if bad is not None:
+        return bad, 0
+    return None, mask_of(z for z in bits(s) if rows[z] & a)
+
+
+def _non_neighbor_clique(G: ColoredGraph, z: int, within: int, branch: str) -> list[tuple[int, int, int]]:
+    """The pieces for the non-neighbors of z in `within`: none if z has no
+    non-neighbor there, else one spanning piece of diameter at most 3 on
+    them, which independence number 2 makes a clique."""
+    rest = within & ~G.adj_rows[z]
+    if not rest:
+        return []
+    if not _is_complete_mask(G, rest):
+        raise ProofAssertionError(branch, f"non-neighbors of {z} do not form a clique")
+    zc, _zd = _spanning_mono_within(G, rest)
+    return [(zc, rest, 3)]
 
 
 # -- near-split structures --------------------------------------------------
@@ -368,11 +372,12 @@ class NearSplitStructure:
 
 
 def detect_near_split(G: ColoredGraph) -> NearSplitStructure | None:
-    """Find a valid near-split structure, scanning centers in ascending
-    order, or None. The center must miss exactly two vertices, one per
-    clique, and those two must be adjacent."""
-    if G.r != 2:
-        raise ValueError(f"detect_near_split requires r=2, got {G.r}")
+    """Find a near-split structure, scanning centers in ascending order, or
+    None. The center must miss exactly two vertices, one per clique, and
+    those two must be adjacent. The structure is valid by construction (the
+    missed pair is checked here, and the cliques come from the complement's
+    two-coloring), so it is returned without a validate call."""
+    _require_r2(G, "detect_near_split")
     full = G.full_mask
     for v in G.vertices():
         nn = full & ~G.adj_rows[v] & ~(1 << v)
@@ -385,9 +390,7 @@ def detect_near_split(G: ColoredGraph) -> NearSplitStructure | None:
         split = _two_clique_split(G, v, a, b)
         if split is None:
             continue
-        structure = NearSplitStructure(v, *split, a, b)
-        structure.validate(G)
-        return structure
+        return NearSplitStructure(v, *split, a, b)
     return None
 
 
@@ -411,13 +414,13 @@ def _two_clique_split(G: ColoredGraph, v: int, a: int, b: int) -> tuple[int, int
 
 def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate:
     """Cover a near-split graph by at most two monochromatic components of
-    diameter at most 3 each.
+    diameter at most 3 each. The structure `s` may come from outside
+    detect_near_split, so it is validated first (ValueError if invalid).
 
     Each clique is spanned by its first color of diameter <= 2, if any. A
     clique with neither (both colors then have diameter exactly 3) is joined
     to the center through a base edge of a spanning double star."""
-    if G.r != 2:
-        raise ValueError(f"cover_near_split requires r=2, got {G.r}")
+    _require_r2(G, "cover_near_split")
     s.validate(G)
     log: list[str] = [f"near-split center {s.v}, cliques miss {s.v1} and {s.v2}"]
 
@@ -537,8 +540,7 @@ def cover_general(G: ColoredGraph) -> CoverCertificate:
     set is that branch's I. Each component is measured once, by the branch
     that builds it.
     """
-    if G.r != 2:
-        raise ValueError(f"cover_general requires r=2, got {G.r}")
+    _require_r2(G, "cover_general")
     cert, iset = _cover_general_inner(G)
     for v in bits(iset):
         if G.adj_rows[v] & iset:
@@ -698,8 +700,7 @@ def cover_stars(G: ColoredGraph) -> CoverCertificate:
 def two_clique_cover(G: ColoredGraph) -> CoverCertificate:
     """Cover a graph whose complement is bipartite by (at most) two spanning
     cliques, each taken in a color of diameter at most 3."""
-    if G.r != 2:
-        raise ValueError(f"two_clique_cover requires r=2, got {G.r}")
+    _require_r2(G, "two_clique_cover")
     split = is_complement_bipartite(G)
     if split is None:
         raise ValueError("complement is not bipartite: no two-clique split exists")
@@ -723,8 +724,7 @@ def _two_clique_certificate(G: ColoredGraph, split: tuple[frozenset[int], frozen
 def cover_via_cliques(G: ColoredGraph, max_n: int = CLIQUES_MAX_N) -> CoverCertificate:
     """Exact minimum clique partition, then one small-diameter spanning color
     per clique; the component count equals the clique cover number."""
-    if G.r != 2:
-        raise ValueError(f"cover_via_cliques requires r=2, got {G.r}")
+    _require_r2(G, "cover_via_cliques")
     if G.n > max_n:
         raise LimitExceeded(f"n={G.n} exceeds the clique-partition limit {max_n}")
     if G.n == 0:

@@ -8,45 +8,14 @@ scale this package targets (n up to the low twenties).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
-class _Unreachable:
-    """Distance marker for disconnected pairs; compares greater than every int.
-
-    A dedicated singleton rather than a sentinel integer, so that arithmetic
-    on it fails loudly instead of silently producing nonsense.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self):
-        return (_Unreachable, ())
-
-    def __repr__(self) -> str:
-        return "unreachable"
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-
-UNREACHABLE = _Unreachable()
+# Distance of a disconnected pair: above every int, and no code does
+# arithmetic on a diameter.
+UNREACHABLE = math.inf
 
 
 class LimitExceeded(RuntimeError):
@@ -219,8 +188,8 @@ def _mask_diam_le(rows: list[int], mask: int, d: int) -> bool:
 def mono_diameter(G: ColoredGraph, color: int, vertices: Iterable[int]):
     """Exact diameter of the color-`color` subgraph induced on `vertices`.
 
-    Returns an int, or UNREACHABLE when the induced subgraph is disconnected.
-    A single vertex has diameter 0; the empty set is an error.
+    Returns an int, or UNREACHABLE (math.inf) when the induced subgraph is
+    disconnected. A single vertex has diameter 0; the empty set is an error.
     """
     if not (1 <= color <= G.r):
         raise ValueError(f"color {color} out of range 1..{G.r}")
@@ -536,12 +505,7 @@ def induced_subgraph(G: ColoredGraph, vertices: Iterable[int]) -> tuple[ColoredG
     """
     labels = sorted(set(vertices))
     index = {v: i for i, v in enumerate(labels)}
-    sub_edges: dict[tuple[int, int], int] = {}
-    for i, u in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            c = G.color_of(u, labels[j])
-            if c is not None:
-                sub_edges[(i, j)] = c
+    sub_edges = {(index[u], index[v]): c for (u, v), c in G.edge_color.items() if u in index and v in index}
     return ColoredGraph(len(labels), G.r, sub_edges), labels
 
 

@@ -328,3 +328,29 @@ def pair_partition_reference(G: ColoredGraph, x: int, y: int) -> dict[str, set[i
         if any(not G.has_edge(u, w) for u, w in itertools.combinations(parts["k" + name], 2)):
             raise ValueError(f"side clique around {name} is not complete: independence number exceeds 2")
     return parts
+
+
+def near_split_centers(G: ColoredGraph) -> set[int]:
+    """Reference for covers.detect_near_split, for n <= 7: the centers of all
+    near-split structures, found by trying every center v, every ordered
+    pair (v1, v2) of other vertices and every split of the rest into k1 with
+    v1 and k2 with v2. A structure needs k1 and k2 complete, v adjacent to
+    every other vertex but v1 and v2, and v1v2 an edge."""
+    assert G.n <= 7
+
+    def complete(vs):
+        return all(G.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
+
+    centers = set()
+    for v in range(G.n):
+        rest = [u for u in range(G.n) if u != v]
+        for v1, v2 in itertools.permutations(rest, 2):
+            if not G.has_edge(v1, v2) or any(G.has_edge(v, u) == (u in (v1, v2)) for u in rest):
+                continue
+            others = [u for u in rest if u not in (v1, v2)]
+            for sides in itertools.product((0, 1), repeat=len(others)):
+                k1 = [v1] + [u for u, side in zip(others, sides) if side == 0]
+                k2 = [v2] + [u for u, side in zip(others, sides) if side == 1]
+                if complete(k1) and complete(k2):
+                    centers.add(v)
+    return centers

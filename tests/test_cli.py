@@ -172,6 +172,12 @@ def test_classify_output(capsys, monkeypatch):
     assert code == 0
     assert "case = over-three" in out and "house_color = 1" in out
 
+    # a color with no edge has no finite diameter, and the word says so
+    K3_red = build_graph(3, 2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+    code, out, _ = invoke(capsys, monkeypatch, ["classify"], stdin_text=format_graph(K3_red))
+    assert code == 0
+    assert "diameters = 1,unreachable\n" in out
+
 
 def test_oracle_min_cover_prints_value(capsys, monkeypatch):
     code, out, _ = invoke(
@@ -239,6 +245,9 @@ def test_usage_errors(capsys, monkeypatch):
     assert invoke(capsys, monkeypatch, ["bogus"])[0] == 2
     assert invoke(capsys, monkeypatch, ["cover"])[0] == 2  # missing --method
     assert invoke(capsys, monkeypatch, ["gen", "--family", "p42", "--copies", "0"])[0] == 2
+    code, out, err = invoke(capsys, monkeypatch, ["gen", "--family", "substitution", "--sizes", "1,x,1,1,1"])
+    assert code == 2 and out == ""
+    assert err == "error: --sizes expects a comma-separated integer list, got '1,x,1,1,1'\n"
     code, _, err = invoke(
         capsys,
         monkeypatch,

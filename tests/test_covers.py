@@ -8,6 +8,7 @@ from conftest import (
     complement_bipartite,
     complete_colored,
     matching_union,
+    near_split_centers,
     pair_partition_reference,
     rand_colored,
     two_clique_split,
@@ -237,6 +238,52 @@ def test_near_split_structure_validate_rejects():
     bad = NearSplitStructure(v=0, k1=mask_of({1, 3}), k2=mask_of({2, 4, 6}), v1=1, v2=6)
     with pytest.raises(ValueError, match="do not partition"):
         bad.validate(G)
+    # a structure from outside detect_near_split is validated by the cover
+    with pytest.raises(ValueError, match="do not partition"):
+        cover_near_split(G, bad)
+
+
+def relabeled(G, seed):
+    """The same colored graph with its vertices renamed by a random permutation."""
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(G.n, G.r, [(perm[u], perm[v], c) for u, v, c in G.edges()])
+
+
+def near_split_graph(n, seed):
+    """A random colored near-split graph on n >= 3 vertices, relabeled: a
+    center adjacent to every vertex of two cliques but one missed vertex in
+    each, the two missed vertices adjacent, other edges between the cliques
+    drawn at random."""
+    rng = random.Random(seed)
+    n1 = rng.randint(1, n - 2)
+    v1, v2 = rng.randint(1, n1), rng.randint(n1 + 1, n - 1)
+    pairs = [(0, u) for u in range(1, n) if u not in (v1, v2)]
+    for u, v in itertools.combinations(range(1, n), 2):
+        if (u <= n1) == (v <= n1) or (u, v) == (v1, v2) or rng.random() < 0.5:
+            pairs.append((u, v))
+    return relabeled(build_graph(n, 2, [(u, v, rng.randrange(1, 3)) for u, v in pairs]), seed)
+
+
+def test_detect_near_split_matches_brute_force():
+    """detect_near_split returns a structure exactly when one exists, at the
+    lowest center that has one, and what it returns passes validate."""
+    random_graphs = [rand_colored(3 + seed % 5, 0.5 + 0.075 * (seed % 7), seed=47000 + seed) for seed in range(600)]
+    antiholes = [relabeled(recolor(gen_antihole(k), seed), seed) for k in (2, 3) for seed in range(40)]
+    built = [near_split_graph(3 + seed % 5, seed) for seed in range(200)]
+    found = []
+    for graphs in (random_graphs, antiholes, built):
+        found.append(0)
+        for G in graphs:
+            centers = near_split_centers(G)
+            s = detect_near_split(G)
+            assert (s is None) == (not centers), G.edges()
+            if s is not None:
+                assert s.v == min(centers), G.edges()
+                s.validate(G)
+                found[-1] += 1
+    assert 0 < found[0] < len(random_graphs)
+    assert found[1:] == [len(antiholes), len(built)]
 
 
 def test_cover_near_split_antiholes():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import pickle
 import random
 import tracemalloc
 
@@ -68,6 +70,13 @@ def test_unreachable_ordering():
     assert UNREACHABLE <= UNREACHABLE
     assert 10 < UNREACHABLE
     assert not (10 >= UNREACHABLE)
+
+
+def test_unreachable_is_infinity():
+    G = build_graph(4, 2, [(0, 1, 1), (2, 3, 1), (1, 2, 2)])
+    assert mono_diameter(G, 1, range(4)) is UNREACHABLE
+    assert mono_diameter(G, 1, range(4)) == math.inf
+    assert pickle.loads(pickle.dumps(UNREACHABLE)) == UNREACHABLE
 
 
 def test_mono_diameter_against_floyd_warshall():
