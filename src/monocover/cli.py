@@ -242,8 +242,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; an empty text is the empty list, an empty
+    item is an error."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}")
 

@@ -4,13 +4,17 @@ For each color, finds the inclusion-maximal vertex sets whose induced color
 subgraph has diameter at most d. Every such set is a clique of the color
 graph's d-th power (its vertices are pairwise within distance d in the whole
 color graph), so only those cliques are enumerated and tested, not all 2^n
-vertex sets. One search over the resulting families answers two exact
-questions: the minimum number of diameter-<=d components covering all
+vertex sets. When a clique together with all the vertices that could extend
+it already has diameter <= d, that union is recorded and the clique's
+subtree skipped: every set in the subtree lies inside the union, so no
+other can be maximal. One search over the resulting families answers two
+exact questions: the minimum number of diameter-<=d components covering all
 vertices, and whether a cover exists with at most one component per
 prescribed bound. Restricting to maximal candidates is lossless because any
 cover component lies inside a maximal candidate of the same color and bound.
-Candidates are (color, vertex mask) pairs throughout; only the certificates
-returned hold frozensets.
+The search visits at most MAX_SEARCH_NODES nodes per call. Candidates are
+(color, vertex mask) pairs throughout; only the certificates returned hold
+frozensets.
 """
 
 from __future__ import annotations
@@ -31,16 +35,22 @@ from .graph import (
 
 DEFAULT_MAX_N = 18
 
+# Nodes the cover search may visit in one public call (over all of
+# `min_cover_exact`'s searches) before it raises LimitExceeded.
+MAX_SEARCH_NODES = 2_000_000
+
 
 def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, int]]:
     """Exactly the maximal diameter-<=d monochromatic vertex sets per color,
     as a list of (color, vertex mask) pairs sorted by color, then mask.
 
-    Per color, every clique of the color graph's d-th power is enumerated
-    once, by a depth-first search that extends a clique only by higher
-    vertices within distance d of all its members, and tested for induced
-    diameter <= d. Qualifying masks are scanned by decreasing size and kept
-    unless a kept mask contains them.
+    Per color, the cliques of the color graph's d-th power are enumerated by
+    a depth-first search that extends a clique only by higher vertices
+    within distance d of all its members (its extension). A node whose
+    clique plus extension has induced diameter <= d records that union and
+    skips its subtree, which lies inside the union, so no maximal set is
+    lost; any other node tests its clique alone. Qualifying masks are
+    scanned by decreasing size and kept unless a kept mask contains them.
     """
     if d < 0:
         raise ValueError(f"diameter bound must be >= 0, got {d}")
@@ -56,7 +66,11 @@ def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> l
         qual = []
         while stack:
             m, ext = stack.pop()
-            if _mask_diam_le(rows, m, d):
+            if _mask_diam_le(rows, m | ext, d):
+                # the subtree's sets all lie inside m | ext: only it can be maximal
+                qual.append(m | ext)
+                continue
+            if ext and _mask_diam_le(rows, m, d):
                 qual.append(m)
             while ext:
                 b = ext & -ext
@@ -92,9 +106,11 @@ def _families(G: ColoredGraph, bounds, max_n: int):
     return fams, through, cover_of
 
 
-def _search(full: int, fams, through, cover_of, slots) -> list[tuple[int, int]] | None:
+def _search(full: int, fams, through, cover_of, slots, nodes: list[int]) -> list[tuple[int, int]] | None:
     """Picks [(bound d, index into fams[d]), ...] in search order that cover
     `full` with at most slots[d] candidates of each bound d, or None.
+    nodes[0] counts the nodes visited; past MAX_SEARCH_NODES the search
+    raises LimitExceeded.
 
     Branches on the lowest uncovered vertex v (some component of any cover
     contains it): each bound with a slot left, ascending, then its candidates
@@ -104,14 +120,17 @@ def _search(full: int, fams, through, cover_of, slots) -> list[tuple[int, int]] 
     """
     left = dict(slots)
     picks: list[tuple[int, int]] = []
-    found = _dfs(full, 0, sum(left.values()), fams, through, cover_of, sorted(left), left, picks)
+    found = _dfs(full, 0, sum(left.values()), fams, through, cover_of, sorted(left), left, picks, nodes)
     return picks if found else None
 
 
-def _dfs(full, cov, total, fams, through, cover_of, order, left, picks) -> bool:
+def _dfs(full, cov, total, fams, through, cover_of, order, left, picks, nodes) -> bool:
     """One node of `_search`: extends `picks` (and spends `left`) until `cov`
     is `full` with at most `total` more picks. A module-level function, so
     that the recursion leaves no reference cycle behind."""
+    nodes[0] += 1
+    if nodes[0] > MAX_SEARCH_NODES:
+        raise LimitExceeded(f"cover search exceeds {MAX_SEARCH_NODES} nodes")
     if cov == full:
         return True
     rem = full & ~cov
@@ -128,7 +147,7 @@ def _dfs(full, cov, total, fams, through, cover_of, order, left, picks) -> bool:
             fam = fams[d]
             for idx in through[d][v]:
                 picks.append((d, idx))
-                if _dfs(full, cov | fam[idx][1], total - 1, fams, through, cover_of, order, left, picks):
+                if _dfs(full, cov | fam[idx][1], total - 1, fams, through, cover_of, order, left, picks, nodes):
                     return True
                 picks.pop()
             left[d] += 1
@@ -157,7 +176,8 @@ def min_cover_exact(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> tupl
     while covered != full:
         best.append(max(range(len(cand)), key=lambda i: (cand[i][1] & ~covered).bit_count()))
         covered |= cand[best[-1]][1]
-    while (picks := _search(full, fams, through, cover_of, {d: len(best) - 1})) is not None:
+    nodes = [0]
+    while (picks := _search(full, fams, through, cover_of, {d: len(best) - 1}, nodes)) is not None:
         best = [idx for _d, idx in picks]
     comps = tuple(_component(G, *cand[idx]) for idx in best)
     log = (f"exact minimum at diameter bound {d} over {len(cand)} maximal candidates",)
@@ -178,7 +198,7 @@ def exists_bounds_cover(G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT
     fams, through, cover_of = _families(G, bounds, max_n)
     if G.full_mask == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",))
-    picks = _search(G.full_mask, fams, through, cover_of, Counter(bounds))
+    picks = _search(G.full_mask, fams, through, cover_of, Counter(bounds), [0])
     if picks is None:
         return None
     # each pick takes the first unused entry with its bound

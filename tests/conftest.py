@@ -6,7 +6,7 @@ import gc
 import itertools
 import random
 
-from monocover.graph import ColoredGraph, build_graph
+from monocover.graph import ColoredGraph, _ball, _mask_diam_le, build_graph
 
 
 def unreachable_after(call) -> int:
@@ -114,6 +114,30 @@ def qualifying_masks(G: ColoredGraph, color: int, d: int) -> list[int]:
         if fw_diameter(len(verts), mono_edge_pairs(G, color, verts)) <= d:
             out.append(m)
     return out
+
+
+def clique_dfs_candidates(G: ColoredGraph, d: int) -> list[tuple[int, int]]:
+    """Reference for oracle.maximal_candidates without its subtree skip: per
+    color, test every clique of the color graph's d-th power (a depth-first
+    search extending a clique only by higher vertices within distance d of
+    all its members), then keep the qualifying masks no other one contains.
+    Returns sorted (color, mask) pairs."""
+    out = []
+    for color in range(1, G.r + 1):
+        rows = G.color_rows[color - 1]
+        near = [_ball(rows, G.full_mask, 1 << v, d)[0] for v in range(G.n)]
+        stack = [(1 << v, near[v] >> (v + 1) << (v + 1)) for v in range(G.n)]
+        qual = []
+        while stack:
+            m, ext = stack.pop()
+            if _mask_diam_le(rows, m, d):
+                qual.append(m)
+            while ext:
+                b = ext & -ext
+                ext ^= b
+                stack.append((m | b, ext & near[b.bit_length() - 1]))
+        out.extend((color, m) for m in qual if not any(m != t and m & t == m for t in qual))
+    return sorted(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import matching_union
 import monocover
-from monocover import graph
+from monocover import graph, oracle
 from monocover.cli import run
 from monocover.generators import (
     gen_antihole,
@@ -203,6 +203,13 @@ def test_oracle_bounds_exit_codes(capsys, monkeypatch):
     assert "no cover" in err
 
 
+def test_oracle_node_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", 3)
+    code, out, err = invoke(capsys, monkeypatch, ["oracle", "--min-cover", "1"], stdin_text=format_graph(gen_p42(2)))
+    assert code == 3 and out == ""
+    assert "cover search exceeds 3 nodes" in err
+
+
 def test_search_exit_codes(capsys, monkeypatch):
     host = format_graph(gen_p42(1))
     code, out, _ = invoke(
@@ -248,6 +255,25 @@ def test_usage_errors(capsys, monkeypatch):
     code, out, err = invoke(capsys, monkeypatch, ["gen", "--family", "substitution", "--sizes", "1,x,1,1,1"])
     assert code == 2 and out == ""
     assert err == "error: --sizes expects a comma-separated integer list, got '1,x,1,1,1'\n"
+    # an empty list item is an error, not skipped
+    for argv, flag, text in (
+        (["oracle", "--bounds", "3,,3"], "--bounds", "3,,3"),
+        (["oracle", "--bounds", ",3"], "--bounds", ",3"),
+        (["oracle", "--bounds", "3,"], "--bounds", "3,"),
+        (["gen", "--family", "substitution", "--sizes", ",1,,1,1,1,1,"], "--sizes", ",1,,1,1,1,1,"),
+        (["search", "--colors", "2", "--predicate", "has-bounds-cover:3,,3"], "--predicate", "3,,3"),
+    ):
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin_text=format_graph(gen_p42(1)))
+        assert code == 2 and out == "", argv
+        assert err == f"error: {flag} expects a comma-separated integer list, got {text!r}\n", argv
+    # an empty argument is the empty list: the predicate's default bound
+    code, out, _ = invoke(
+        capsys,
+        monkeypatch,
+        ["search", "--colors", "2", "--predicate", "constructive-matches-oracle"],
+        stdin_text=format_graph(gen_p42(1)),
+    )
+    assert code == 0 and "predicate = constructive-matches-oracle(d=4)" in out
     code, _, err = invoke(
         capsys,
         monkeypatch,

@@ -3,7 +3,15 @@ import itertools
 
 import pytest
 
-from conftest import bounds_cover_reachable, dp_min_cover, qualifying_masks, rand_colored, unreachable_after
+from conftest import (
+    bounds_cover_reachable,
+    clique_dfs_candidates,
+    dp_min_cover,
+    qualifying_masks,
+    rand_colored,
+    unreachable_after,
+)
+from monocover import oracle
 from monocover.generators import gen_antihole, gen_k7_triple, gen_p42
 from monocover.graph import LimitExceeded, build_graph, format_certificate, verify_cover
 from monocover.oracle import exists_bounds_cover, maximal_candidates, min_cover_exact
@@ -91,6 +99,70 @@ def test_maximal_candidates_properties():
                         assert listed == []
                     if d == 0:
                         assert listed == [(c, 1 << v) for c in range(1, r + 1) for v in range(n)]
+
+
+def test_maximal_candidates_match_unpruned_dfs():
+    """Skipping every subtree whose whole extension is already a d-club loses
+    no maximal set: the families equal the unpruned clique search's on random
+    graphs with n <= 11, r = 1..3 and d = 0..4, and on the sharpness
+    instances at d = 1..4."""
+    for seed in range(120):
+        n = seed % 12
+        r = 1 + seed % 3
+        G = rand_colored(n, 0.15 + 0.85 * (seed % 7) / 6, seed=5100 + seed, r=r)
+        for d in range(5):
+            assert maximal_candidates(G, d) == clique_dfs_candidates(G, d), (seed, n, r, d)
+    for G in (gen_p42(4), gen_k7_triple(2)):
+        for d in range(1, 5):
+            assert maximal_candidates(G, d) == clique_dfs_candidates(G, d), (G.n, d)
+
+
+def test_maximal_candidates_skip_club_subtrees(monkeypatch):
+    """On a complete 2-colored K16 at d = 3 and d = 4 nearly every vertex set
+    is a clique of each color's d-th power (the unpruned search tests 131,070
+    of them), but few DFS nodes have an extension that is not a d-club:
+    fewer than 2,000 diameter tests per call."""
+    calls = [0]
+    test = oracle._mask_diam_le
+
+    def counted(*args):
+        calls[0] += 1
+        return test(*args)
+
+    monkeypatch.setattr(oracle, "_mask_diam_le", counted)
+    for seed in (1, 2, 3):
+        G = rand_colored(16, 1.0, seed=seed)
+        for d in (3, 4):
+            calls[0] = 0
+            maximal_candidates(G, d)
+            assert 0 < calls[0] < 2000, (seed, d, calls[0])
+
+
+def test_oracle_search_node_budget(monkeypatch):
+    """The cover search counts its nodes over all of min_cover_exact's
+    searches, and past MAX_SEARCH_NODES raises LimitExceeded."""
+    G = rand_colored(10, 0.4, seed=31)
+    per_search = []
+    search = oracle._search
+
+    def counted(*args):
+        try:
+            return search(*args)
+        finally:
+            per_search.append(args[-1][0] - sum(per_search))
+
+    monkeypatch.setattr(oracle, "_search", counted)
+    expected = min_cover_exact(G, 1)
+    total = sum(per_search)
+    assert len(per_search) > 1 and max(per_search) < total
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", total)
+    assert min_cover_exact(G, 1) == expected
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", total - 1)
+    with pytest.raises(LimitExceeded, match="cover search exceeds"):
+        min_cover_exact(G, 1)
+    monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", 1)
+    with pytest.raises(LimitExceeded, match="cover search exceeds 1 nodes"):
+        exists_bounds_cover(G, [1] * expected[0])
 
 
 def test_oracle_calls_leave_no_reference_cycles():
