@@ -26,6 +26,7 @@ from .graph import (
     ColoredGraph,
     CoverComponent,
     _ball,
+    _first_non_edge,
     _mask_diameter,
     bits,
     vertex_set,
@@ -76,12 +77,9 @@ class ClassifierVerdict:
 def _require_two_colored_complete(G: ColoredGraph, op: str) -> None:
     if G.r != 2:
         raise ValueError(f"{op} requires exactly 2 colors, got r={G.r}")
-    if not G.is_complete():
-        for v in G.vertices():
-            missing = G.full_mask & ~G.adj_rows[v] & ~(1 << v)
-            if missing:
-                u = next(bits(missing))
-                raise ValueError(f"{op} requires a complete graph; ({v},{u}) is not an edge")
+    pair = _first_non_edge(G, G.full_mask)
+    if pair is not None:
+        raise ValueError(f"{op} requires a complete graph; ({pair[0]},{pair[1]}) is not an edge")
 
 
 def _bases_within(G: ColoredGraph, color: int, mask: int) -> list[tuple[int, int]]:

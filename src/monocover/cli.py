@@ -169,32 +169,31 @@ def _cmd_classify(args) -> int:
 # -- cover --------------------------------------------------------------------
 
 
-def _run_cover(G: ColoredGraph, method: str, max_n: int) -> CoverCertificate:
-    if method == "alpha2":
-        return cover_alpha2(G)
-    if method == "near-split":
-        s = detect_near_split(G)
-        if s is None:
-            raise ValueError("no near-split structure found in the input graph")
-        return cover_near_split(G, s)
-    if method == "general":
-        return cover_general(G)
-    if method == "stars":
-        return cover_stars(G)
-    if method == "cliques":
-        return cover_via_cliques(G, max_n=max_n)
-    if method == "two-clique":
-        return two_clique_cover(G)
-    raise ValueError(f"unknown cover method {method!r}")
+def _cover_near_split(G: ColoredGraph) -> CoverCertificate:
+    s = detect_near_split(G)
+    if s is None:
+        raise ValueError("no near-split structure found in the input graph")
+    return cover_near_split(G, s)
+
+
+# method -> its cover of G, given the --max-n limit
+_COVER_METHODS = {
+    "alpha2": lambda G, max_n: cover_alpha2(G),
+    "near-split": lambda G, max_n: _cover_near_split(G),
+    "general": lambda G, max_n: cover_general(G),
+    "stars": lambda G, max_n: cover_stars(G),
+    "cliques": lambda G, max_n: cover_via_cliques(G, max_n=max_n),
+    "two-clique": lambda G, max_n: two_clique_cover(G),
+}
 
 
 def _cmd_cover(args) -> int:
     G = _load_graph(getattr(args, "in"))
-    cert = _run_cover(G, args.method, args.max_n)
+    cert = _COVER_METHODS[args.method](G, args.max_n)
     bounds = ",".join(map(str, cert.bounds()))
     print(f"components = {len(cert)}; bounds = {bounds}", file=sys.stderr)
     if args.out:
-        Path(args.out).write_text(format_certificate(cert))
+        _write_text(args.out, format_certificate(cert))
     else:
         sys.stdout.write(format_combined(G, cert))
     return EXIT_OK
@@ -227,7 +226,7 @@ def _cmd_oracle(args) -> int:
         k, cert = min_cover_exact(G, args.min_cover, max_n=args.max_n)
         print(k)
         if args.out:
-            Path(args.out).write_text(format_certificate(cert))
+            _write_text(args.out, format_certificate(cert))
         return EXIT_OK
     bounds = _parse_int_list(args.bounds, "--bounds")
     cert = exists_bounds_cover(G, bounds, max_n=args.max_n)
@@ -332,7 +331,7 @@ def _build_parser() -> _Parser:
     cover.add_argument(
         "--method",
         required=True,
-        choices=["alpha2", "near-split", "general", "stars", "cliques", "two-clique"],
+        choices=list(_COVER_METHODS),
     )
     cover.add_argument("--in", help="graph file (default: stdin)")
     cover.add_argument(

@@ -34,6 +34,7 @@ from .graph import (
     LimitExceeded,
     _complement_sides,
     _complement_triangle,
+    _first_non_edge,
     _mask_diam_le,
     _mask_diameter,
     _max_clique,
@@ -63,13 +64,6 @@ class ProofAssertionError(RuntimeError):
 def _require_r2(G: ColoredGraph, op: str) -> None:
     if G.r != 2:
         raise ValueError(f"{op} requires r=2, got {G.r}")
-
-
-def _is_complete_mask(G: ColoredGraph, mask: int) -> bool:
-    for v in bits(mask):
-        if mask & ~G.adj_rows[v] & ~(1 << v):
-            return False
-    return True
 
 
 def _certificate(G, pieces, log, branch, residual=()) -> CoverCertificate:
@@ -176,7 +170,7 @@ def pair_partition(G: ColoredGraph, x: int, y: int) -> PairPartition:
         ay2=r2[y] & ~adj[x],
     )
     for side_name, side in (("x", part.kx), ("y", part.ky)):
-        if not _is_complete_mask(G, side):
+        if _first_non_edge(G, side) is not None:
             raise ValueError(f"side clique around {side_name} is not complete: independence number exceeds 2")
     return part
 
@@ -204,16 +198,13 @@ def cover_alpha2(G: ColoredGraph) -> CoverCertificate:
 
     split = is_complement_bipartite(G)
     if split is not None:
-        inner = _two_clique_certificate(G, split)
         log.append("complement is bipartite: two spanning cliques, one small-diameter color each")
-        log.extend(inner.build_log)
-        return CoverCertificate(inner.components, tuple(log))
+        return _two_clique_certificate(G, split, log)
 
     hole = find_odd_antihole(G)
     L = len(hole)
     k = L // 2
-    start = hole.index(min(hole))
-    diag = [hole[(start + i * k) % L] for i in range(L)]
+    diag = [hole[i * k % L] for i in range(L)]  # from the hole's lowest vertex, hole[0]
     x = y = via = hom_color = None
     for j in range(L):
         p, q, s = diag[j], diag[(j + 1) % L], diag[(j + 2) % L]
@@ -326,7 +317,7 @@ def _non_neighbor_clique(G: ColoredGraph, z: int, within: int, branch: str) -> l
     rest = within & ~G.adj_rows[z]
     if not rest:
         return []
-    if not _is_complete_mask(G, rest):
+    if _first_non_edge(G, rest) is not None:
         raise ProofAssertionError(branch, f"non-neighbors of {z} do not form a clique")
     zc, _zd = _spanning_mono_within(G, rest)
     return [(zc, rest, 3)]
@@ -356,7 +347,7 @@ class NearSplitStructure:
         if self.k1 | self.k2 != G.full_mask & ~(1 << self.v):
             raise ValueError("side cliques do not partition the other vertices")
         for name, side in (("k1", self.k1), ("k2", self.k2)):
-            if not _is_complete_mask(G, side):
+            if _first_non_edge(G, side) is not None:
                 raise ValueError(f"{name} does not induce a complete graph")
         if self.v1 not in bits(self.k1) or self.v2 not in bits(self.k2):
             raise ValueError("missed vertices must lie in their cliques")
@@ -476,49 +467,34 @@ def _near_split_small(G, s, c1, c2, log):
 
     rows = G.color_rows
     vb = 1 << s.v
-    b1, b2 = 1 << s.v1, 1 << s.v2
+    # each clique as (mask, missed vertex, small color, name), paired with
+    # the other clique, the first clique's pair tried first
+    sides = ((s.k1, s.v1, c1, "first"), (s.k2, s.v2, c2, "second"))
+    mirrored = (sides, sides[::-1])
     # v misses v1 and v2, and no vertex neighbors itself, so these rows
     # already leave out the missed vertex of each clique
-    if hit := rows[c1 - 1][s.v] & s.k1:
-        return emit(
-            [(c1, s.k1 | vb, 3), (c2, s.k2, 2)],
-            f"center sends color {c1} into the first clique at {next(bits(hit))}",
-        )
-    if hit := rows[c2 - 1][s.v] & s.k2:
-        return emit(
-            [(c2, s.k2 | vb, 3), (c1, s.k1, 2)],
-            f"center sends color {c2} into the second clique at {next(bits(hit))}",
-        )
-    if hit := rows[2 - c1][s.v1] & s.k1:  # row of color 3 - c1
-        return emit(
-            [(3 - c1, s.k1 | vb, 3), (c2, s.k2, 2)],
-            f"missed vertex {s.v1} sends color {3 - c1} into its clique at {next(bits(hit))}",
-        )
-    if hit := rows[2 - c2][s.v2] & s.k2:
-        return emit(
-            [(3 - c2, s.k2 | vb, 3), (c1, s.k1, 2)],
-            f"missed vertex {s.v2} sends color {3 - c2} into its clique at {next(bits(hit))}",
-        )
-    if s.k1 & ~b1 & ~rows[c1 - 1][s.v1]:
-        raise ProofAssertionError(branch, f"expected all ({s.v1},*) edges in color {c1}")
-    if s.k2 & ~b2 & ~rows[c2 - 1][s.v2]:
-        raise ProofAssertionError(branch, f"expected all ({s.v2},*) edges in color {c2}")
+    for (k, _w, c, name), (ko, _, co, _) in mirrored:
+        if hit := rows[c - 1][s.v] & k:
+            note = f"center sends color {c} into the {name} clique at {next(bits(hit))}"
+            return emit([(c, k | vb, 3), (co, ko, 2)], note)
+    for (k, w, c, _), (ko, _, co, _) in mirrored:
+        if hit := rows[2 - c][w] & k:  # row of color 3 - c
+            note = f"missed vertex {w} sends color {3 - c} into its clique at {next(bits(hit))}"
+            return emit([(3 - c, k | vb, 3), (co, ko, 2)], note)
+    for k, w, c, _ in sides:
+        if k & ~(1 << w) & ~rows[c - 1][w]:
+            raise ProofAssertionError(branch, f"expected all ({w},*) edges in color {c}")
     cv = G.color_of(s.v1, s.v2)
     if c1 == c2:
-        star = vb | (s.k1 & ~b1) | (s.k2 & ~b2)
+        missed = 1 << s.v1 | 1 << s.v2
         return emit(
-            [(3 - c1, star, 2), (cv, b1 | b2, 1)],
+            [(3 - c1, vb | (s.k1 | s.k2) & ~missed, 2), (cv, missed, 1)],
             f"one star from the center plus the ({s.v1},{s.v2}) edge",
         )
-    if cv == c1:
-        return emit(
-            [(c1, s.k1 | b2, 2), (c1, vb | (s.k2 & ~b2), 2)],
-            f"missed edge has color {c1}: two color-{c1} stars",
-        )
-    return emit(
-        [(c2, s.k2 | b1, 2), (c2, vb | (s.k1 & ~b1), 2)],
-        f"missed edge has color {c2}: two color-{c2} stars",
-    )
+    # the small colors differ, so the missed edge has one clique's
+    (k, _w, c, _), (ko, wo, _, _) = next(pair for pair in mirrored if pair[0][2] == cv)
+    note = f"missed edge has color {c}: two color-{c} stars"
+    return emit([(c, k | 1 << wo, 2), (c, vb | ko & ~(1 << wo), 2)], note)
 
 
 # -- the general cover ------------------------------------------------------
@@ -640,7 +616,7 @@ def _cover_general_labels(G, iset) -> CoverCertificate:
     comp_color: dict[int, int] = {}
     for u in centers:
         su = one_label[u] | (1 << u)
-        if not _is_complete_mask(G, su):
+        if _first_non_edge(G, su) is not None:
             raise ProofAssertionError(branch, f"one-label class of {u} is not a clique")
         c, _d = _spanning_mono_within(G, su)
         comp_mask[u] = su
@@ -704,21 +680,21 @@ def two_clique_cover(G: ColoredGraph) -> CoverCertificate:
     split = is_complement_bipartite(G)
     if split is None:
         raise ValueError("complement is not bipartite: no two-clique split exists")
-    return _two_clique_certificate(G, split)
+    return _two_clique_certificate(G, split, [])
 
 
-def _two_clique_certificate(G: ColoredGraph, split: tuple[frozenset[int], frozenset[int]]) -> CoverCertificate:
-    """two_clique_cover from the two-clique split (X, Y) already in hand."""
+def _two_clique_certificate(G: ColoredGraph, split, log: list[str]) -> CoverCertificate:
+    """two_clique_cover from the two-clique split (X, Y) of frozensets
+    already in hand, its notes appended to `log`."""
     pieces = []
-    notes = []
     for side in split:
         if not side:
             continue
         m = mask_of(side)
         c, _d = _spanning_mono_within(G, m)
         pieces.append((c, m, 3))
-        notes.append(f"clique {sorted(side)} in color {c}")
-    return _certificate(G, pieces, notes, "two-cliques")
+        log.append(f"clique {sorted(side)} in color {c}")
+    return _certificate(G, pieces, log, "two-cliques")
 
 
 def cover_via_cliques(G: ColoredGraph, max_n: int = CLIQUES_MAX_N) -> CoverCertificate:

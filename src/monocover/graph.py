@@ -84,9 +84,6 @@ class ColoredGraph:
             u, v = v, u
         return self.edge_color.get((u, v))
 
-    def is_complete(self) -> bool:
-        return all(self.adj_rows[v] == self.full_mask ^ (1 << v) for v in self.vertices())
-
     def complement_rows(self) -> list[int]:
         """Adjacency rows of the complement of the underlying graph."""
         full = self.full_mask
@@ -104,8 +101,13 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, r={self.r}, m={len(self.edge_color)})"
 
 
+# Largest (n + 1) * (r + 1) build_graph accepts: the graph holds r rows of n
+# ints, so a larger header is refused before anything is allocated.
+MAX_GRAPH_CELLS = 1 << 18
+
+
 def build_graph(n: int, r: int, edges: Iterable[tuple[int, int, int]]) -> ColoredGraph:
-    """Validating constructor: checks ranges, loops and color conflicts.
+    """Validating constructor: checks sizes, ranges, loops and color conflicts.
 
     Duplicate identical entries are idempotent; the same pair listed with two
     different colors is an error.
@@ -114,6 +116,8 @@ def build_graph(n: int, r: int, edges: Iterable[tuple[int, int, int]]) -> Colore
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if r < 1:
         raise ValueError(f"color count must be at least 1, got {r}")
+    if (n + 1) * (r + 1) > MAX_GRAPH_CELLS:
+        raise ValueError(f"n={n}, r={r} exceeds the graph size limit (n+1)*(r+1) <= {MAX_GRAPH_CELLS}")
     edge_color: dict[tuple[int, int], int] = {}
     for u, v, c in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -129,6 +133,16 @@ def build_graph(n: int, r: int, edges: Iterable[tuple[int, int, int]]) -> Colore
         elif prev != c:
             raise ValueError(f"conflicting colors {prev} and {c} for edge {key}")
     return ColoredGraph(n, r, edge_color)
+
+
+def _first_non_edge(G: ColoredGraph, mask: int) -> tuple[int, int] | None:
+    """The first pair (v, u) of the vertex mask that is not an edge, v lowest
+    and then u, or None when the mask induces a complete graph."""
+    for v in bits(mask):
+        missing = mask & ~G.adj_rows[v] & ~(1 << v)
+        if missing:
+            return v, (missing & -missing).bit_length() - 1
+    return None
 
 
 # -- per-color metric ----------------------------------------------------
@@ -436,7 +450,8 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
     level k and, by the parity swap of the double cover, in level L - k.
     Taking the lowest such complement neighbor at each step gives the
     lexicographically least shortest walk, listed from the start vertex and
-    oriented so that its second vertex is below its last.
+    oriented so that its second vertex is below its last. The start is the
+    cycle's lowest vertex, since every vertex on the cycle attains L.
     """
     comp = G.complement_rows()
     triangle = _complement_triangle(comp)

@@ -192,9 +192,6 @@ def exists_bounds_cover(G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT
     bounds = list(bounds)
     if not bounds:
         raise ValueError("bounds list must not be empty")
-    for d in bounds:
-        if d < 0:
-            raise ValueError(f"diameter bound must be >= 0, got {d}")
     fams, through, cover_of = _families(G, bounds, max_n)
     if G.full_mask == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",))

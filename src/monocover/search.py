@@ -24,7 +24,7 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from multiprocessing import get_context
 
@@ -376,27 +376,14 @@ def format_report(report: SearchReport) -> str:
         lines.append(f"  histogram {{{body}}}")
     lines.append(f"  wall {report.wall_seconds:.2f}s, jobs {report.jobs}")
     lines.append("")
-    kv = {
-        "host": report.host,
-        "r": report.r,
-        "predicate": report.predicate,
-        "mode": report.mode,
-        "space": report.space,
-        "total": report.total,
-        "symmetry_factor": report.symmetry_factor,
-        "ok_count": report.ok_count,
-        "fail_count": report.fail_count,
-        "partial": int(report.partial),
-        "budget": report.budget,
-        "worst_badness": report.worst_badness,
-        "witness_ordinal": "" if report.witness_ordinal is None else report.witness_ordinal,
-        "witness_colors": ""
-        if report.witness_colors is None
-        else ",".join(map(str, report.witness_colors)),
-    }
-    if report.histogram is not None:
-        kv["histogram"] = ",".join(f"{v}:{c}" for v, c in report.histogram)
-    lines.extend(f"{k} = {v}" for k, v in kv.items())
+    # every compared field in declaration order: a bool as 0 or 1, None as
+    # nothing (no histogram line at all), a tuple comma-joined
+    for f in fields(report):
+        v = getattr(report, f.name)
+        if f.compare and (v is not None or f.name != "histogram"):
+            if isinstance(v, tuple):  # witness colors, or histogram (value, count) pairs
+                v = ",".join(":".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in v)
+            lines.append(f"{f.name} = {'' if v is None else int(v) if isinstance(v, bool) else v}")
     return "\n".join(lines)
 
 

@@ -38,6 +38,13 @@ def complete_colored(n: int, seed: int, r: int = 2) -> ColoredGraph:
     return build_graph(n, r, edges)
 
 
+def relabeled(G: ColoredGraph, seed: int) -> ColoredGraph:
+    """The same colored graph with its vertices renamed by a random permutation."""
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(G.n, G.r, [(perm[u], perm[v], c) for u, v, c in G.edges()])
+
+
 def matching_union(n: int, seed: int, drop: float = 0.1) -> ColoredGraph:
     """Two random perfect matchings of 0..n-1, one per color, a pair in both
     kept in the first, each edge dropped with probability `drop`. Every

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from conftest import matching_union
 import monocover
 from monocover import graph, oracle
 from monocover.cli import run
+from monocover.covers import cover_near_split, detect_near_split
 from monocover.generators import (
     gen_antihole,
     gen_k7_triple,
@@ -23,7 +25,15 @@ from monocover.generators import (
     gen_substitution,
     house_skeleton,
 )
-from monocover.graph import build_graph, format_graph, parse_certificate, parse_combined, parse_graph
+from monocover.graph import (
+    build_graph,
+    format_certificate,
+    format_graph,
+    parse_certificate,
+    parse_combined,
+    parse_graph,
+)
+from monocover.oracle import min_cover_exact
 
 
 def invoke(capsys, monkeypatch, argv, stdin_text=""):
@@ -124,6 +134,31 @@ def test_cover_two_clique_and_out_file(tmp_path, capsys, monkeypatch):
         stdin_text=text,
     )
     assert code == 0
+
+
+def test_out_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    """`--out -` writes the bare certificate to stdout for cover and for
+    oracle --min-cover alike, and creates no file."""
+    monkeypatch.chdir(tmp_path)
+    G = gen_antihole(3)
+    text = format_graph(G)
+    code, out, _ = invoke(capsys, monkeypatch, ["cover", "--method", "near-split", "--out", "-"], stdin_text=text)
+    assert code == 0 and out == format_certificate(cover_near_split(G, detect_near_split(G)))
+    code, out, _ = invoke(capsys, monkeypatch, ["oracle", "--min-cover", "3", "--out", "-"], stdin_text=text)
+    k, cert = min_cover_exact(G, 3)
+    assert code == 0 and out == f"{k}\n" + format_certificate(cert)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oversized_header_is_an_input_error(capsys, monkeypatch):
+    """A header past the graph size limit exits 2 naming line 1, long before
+    its rows could be allocated."""
+    for header in ("1000000000 2", "3 1000000000", "0 1000000000"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, monkeypatch, ["classify"], stdin_text=header + "\n")
+        assert time.perf_counter() - start < 0.5, header
+        assert code == 2 and out == "", header
+        assert err.startswith("error: line 1: ") and "graph size limit" in err, err
 
 
 def test_verify_rejects_and_names_vertex(capsys, monkeypatch):

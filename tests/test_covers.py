@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import (
     near_split_centers,
     pair_partition_reference,
     rand_colored,
+    relabeled,
     two_clique_split,
     unreachable_after,
 )
@@ -36,6 +38,7 @@ from monocover.graph import (
     independence_number,
     is_complement_bipartite,
     mask_of,
+    mono_diameter,
     verify_cover,
 )
 
@@ -243,13 +246,6 @@ def test_near_split_structure_validate_rejects():
         cover_near_split(G, bad)
 
 
-def relabeled(G, seed):
-    """The same colored graph with its vertices renamed by a random permutation."""
-    perm = list(range(G.n))
-    random.Random(seed).shuffle(perm)
-    return build_graph(G.n, G.r, [(perm[u], perm[v], c) for u, v, c in G.edges()])
-
-
 def near_split_graph(n, seed):
     """A random colored near-split graph on n >= 3 vertices, relabeled: a
     center adjacent to every vertex of two cliques but one missed vertex in
@@ -323,6 +319,63 @@ def test_cover_near_split_monochromatic():
     # monochromatic input: center joins one clique, bounds collapse to (2, 1)
     assert cert.bounds() == (2, 1)
     assert all(c.color == 1 for c in cert.components)
+
+
+def small_near_split_graphs():
+    """Every near-split graph on 4 or 5 vertices with center 0, first clique
+    1..a and second clique a+1..n-1: every choice of the missed vertices v1
+    and v2, of the other edges between the cliques and of the 2-coloring."""
+    for n in (4, 5):
+        for a in range(1, n - 1):
+            k1, k2 = range(1, a + 1), range(a + 1, n)
+            for v1, v2 in itertools.product(k1, k2):
+                fixed = [(0, u) for u in range(1, n) if u not in (v1, v2)]
+                fixed += [*itertools.combinations(k1, 2), *itertools.combinations(k2, 2), (v1, v2)]
+                cross = [e for e in itertools.product(k1, k2) if e != (v1, v2)]
+                for picked in itertools.product((False, True), repeat=len(cross)):
+                    pairs = fixed + list(itertools.compress(cross, picked[::-1]))
+                    for colors in itertools.product((1, 2), repeat=len(pairs)):
+                        yield build_graph(n, 2, [(u, v, c) for (u, v), c in zip(pairs, colors[::-1])])
+
+
+# sha256 over the small_near_split_graphs certificates, each format_certificate
+# output followed by a NUL; taken before the mirrored cases were folded
+FROZEN_NEAR_SPLIT_DIGEST = "29c3f9d3ed3a92bd012597de4bccefc733beb3026496c6e702bb8dec97f08482"
+
+
+def test_near_split_small_every_outcome_exhaustively():
+    """Each case of cover_near_split's small-diameter branch, the mirrored
+    ones for both cliques, fires on the small near-split graphs, and the
+    certificates are byte-identical to the frozen digest."""
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for G in small_near_split_graphs():
+        s = detect_near_split(G)
+        cert = cover_near_split(G, s)
+        assert_good_cover(G, cert, 2, 3)
+        digest.update(format_certificate(cert).encode())
+        digest.update(b"\0")
+        note = cert.build_log[-1]
+        if note.startswith("center sends"):
+            outcome = "center into the " + note.split()[6]
+        elif note.startswith("missed vertex"):
+            outcome = "missed v1" if note.split()[2] == str(s.v1) else "missed v2"
+        elif note.startswith("missed edge"):
+            c1 = next(c for c in (1, 2) if mono_diameter(G, c, bits(s.k1)) <= 2)
+            outcome = "stars in c1" if note.split()[4] == f"{c1}:" else "stars in c2"
+        else:
+            outcome = note.split(" plus")[0]
+        outcomes[outcome] += 1
+    assert outcomes == {
+        "center into the first": 4408,
+        "center into the second": 824,
+        "missed v1": 504,
+        "missed v2": 24,
+        "one star from the center": 624,
+        "stars in c1": 312,
+        "stars in c2": 312,
+    }
+    assert digest.hexdigest() == FROZEN_NEAR_SPLIT_DIGEST
 
 
 # -- general covers -----------------------------------------------------------

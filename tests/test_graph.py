@@ -17,9 +17,11 @@ from conftest import (
     odd_cycle_through,
     odd_walk_length,
     rand_colored,
+    relabeled,
     unreachable_after,
 )
 from monocover.graph import (
+    MAX_GRAPH_CELLS,
     UNREACHABLE,
     CoverCertificate,
     CoverComponent,
@@ -62,6 +64,12 @@ def test_build_graph_rejects_bad_input():
     # agreeing duplicate is fine
     G = build_graph(2, 2, [(0, 1, 1), (1, 0, 1)])
     assert G.edges() == [(0, 1, 1)]
+    # the size limit on (n + 1) * (r + 1), checked before any row is allocated
+    side = math.isqrt(MAX_GRAPH_CELLS)
+    assert build_graph(side - 1, side - 1, []).n == side - 1
+    for n, r in ((side, side - 1), (10**9, 2), (3, 10**9), (0, 10**9)):
+        with pytest.raises(ValueError, match="graph size limit"):
+            build_graph(n, r, [])
 
 
 def test_unreachable_ordering():
@@ -269,9 +277,20 @@ def test_find_odd_antihole_matches_reference():
     graphs = [gen_random_alpha2(4 + seed % 27, 0.1 + 0.8 * (seed % 9) / 9, 31_000 + seed) for seed in range(150)]
     graphs += [gen_antihole(k) for k in range(2, 9)]
     graphs += [twin_blowup(2 + seed % 5, 32_000 + seed) for seed in range(60)]
+    graphs += [
+        relabeled(gen_random_alpha2(5 + seed % 20, 0.1 + 0.8 * (seed % 9) / 9, 33_000 + seed), seed)
+        for seed in range(150)
+    ]
+    holes = 0
     for i, G in enumerate(graphs):
-        assert find_odd_antihole(G) == reference_odd_antihole(G), i
+        hole = find_odd_antihole(G)
+        assert hole == reference_odd_antihole(G), i
+        if hole is not None:
+            # cover_alpha2 reads the long diagonals from hole[0]
+            assert hole[0] == min(hole), i
+            holes += i >= len(graphs) - 150
     assert sum(find_odd_antihole(G) is not None for G in graphs[:150]) > 30
+    assert holes > 30
 
 
 def test_ball_matches_reference():

@@ -246,6 +246,11 @@ def test_has_bounds_cover_matches_oracle_directly():
     assert recount == report.ok_count
 
 
+def key_value_block(report):
+    """The key = value block of format_report, after its blank line."""
+    return format_report(report).split("\n\n", 1)[1].splitlines()
+
+
 def test_format_report_round_values():
     host = complete_host(4)
     report = enumerate_colorings(host, 2, MinCoverAtMost(2, 1))
@@ -256,6 +261,24 @@ def test_format_report_round_values():
     assert "symmetry_factor = 2" in text
     hist_text = format_report(min_cover_distribution(host, 2, 2)[1])
     assert "histogram = 1:26,2:6" in hist_text
+    # the whole block, pinned for a report with a histogram, a partial one
+    # with a witness, and one that decided nothing
+    assert key_value_block(min_cover_distribution(host, 2, 2)[1]) == [
+        "host = n=4 m=6", "r = 2", "predicate = min-cover-distribution(d=2)", "mode = exhaustive",
+        "space = 32", "total = 32", "symmetry_factor = 2", "ok_count = 32", "fail_count = 0", "partial = 0",
+        "budget = 67108864", "worst_badness = 2", "witness_ordinal = 13", "witness_colors = 1,1,2,2,1,2",
+        "histogram = 1:26,2:6",
+    ]  # fmt: skip
+    assert key_value_block(enumerate_colorings(host, 2, MinCoverAtMost(2, 1), budget=20)) == [
+        "host = n=4 m=6", "r = 2", "predicate = min-cover-atmost(d=2,k=1)", "mode = exhaustive",
+        "space = 32", "total = 20", "symmetry_factor = 2", "ok_count = 17", "fail_count = 3", "partial = 1",
+        "budget = 20", "worst_badness = 2", "witness_ordinal = 13", "witness_colors = 1,1,2,2,1,2",
+    ]  # fmt: skip
+    assert key_value_block(enumerate_colorings(host, 3, HasBoundsCover((2, 2)), budget=0)) == [
+        "host = n=4 m=6", "r = 3", "predicate = has-bounds-cover(2,2)", "mode = exhaustive",
+        "space = 122", "total = 0", "symmetry_factor = 6", "ok_count = 0", "fail_count = 0", "partial = 1",
+        "budget = 0", "worst_badness = 0", "witness_ordinal = ", "witness_colors = ",
+    ]  # fmt: skip
 
 
 # -- orbit reduction ------------------------------------------------------------
