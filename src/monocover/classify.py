@@ -178,8 +178,6 @@ def _spanning_mono_within(G: ColoredGraph, mask: int) -> tuple[int, int]:
     """(color, achieved diameter <= 3) of a spanning monochromatic subgraph
     of the complete graph induced on `mask`: the color of smaller diameter,
     color 1 on ties. This is the color each classifier pattern spans with."""
-    if mask & (mask - 1) == 0:
-        return 1, 0
     d1 = _mask_diameter(G.color_rows[0], mask)
     d2 = _mask_diameter(G.color_rows[1], mask)
     color, achieved = (2, d2) if d2 < d1 else (1, d1)

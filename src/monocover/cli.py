@@ -203,11 +203,14 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    source = getattr(args, "in")
     if args.cert:
-        G = _load_graph(getattr(args, "in"))
-        cert = parse_certificate(Path(args.cert).read_text())
+        if args.cert == "-" and source in (None, "-"):
+            raise ValueError("--in and --cert cannot both come from stdin")
+        G = _load_graph(source)
+        cert = parse_certificate(_read_text(args.cert))
     else:
-        G, cert = parse_combined(_read_text(getattr(args, "in")))
+        G, cert = parse_combined(_read_text(source))
     verdict = verify_cover(G, cert)
     if verdict:
         bounds = ",".join(map(str, cert.bounds()))
@@ -343,7 +346,7 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="check a certificate against a graph")
     verify.add_argument("--in", help="combined stream or graph file (default: stdin)")
-    verify.add_argument("--cert", help="certificate file when --in holds a bare graph")
+    verify.add_argument("--cert", help="certificate file when --in holds a bare graph ('-' for stdin)")
     verify.set_defaults(func=_cmd_verify)
 
     oracle = sub.add_parser("oracle", help="exact brute-force cover questions")

@@ -49,6 +49,10 @@ from .graph import (
 
 CLIQUES_MAX_N = 24
 
+# Nodes one `_exact_clique_partition` search may visit before it raises
+# LimitExceeded.
+MAX_PARTITION_NODES = 2_000_000
+
 
 class ProofAssertionError(RuntimeError):
     """A property guaranteed by the underlying proof failed at runtime.
@@ -715,7 +719,8 @@ def cover_via_cliques(G: ColoredGraph, max_n: int = CLIQUES_MAX_N) -> CoverCerti
 
 def _exact_clique_partition(G: ColoredGraph) -> list[int]:
     """Minimum partition of V into cliques, as vertex masks ordered by their
-    smallest member. Branch and bound on coloring the complement."""
+    smallest member. Branch and bound on coloring the complement; raises
+    LimitExceeded past MAX_PARTITION_NODES nodes."""
     n = G.n
     comp = G.complement_rows()
     greedy: list[int] = []
@@ -727,17 +732,21 @@ def _exact_clique_partition(G: ColoredGraph) -> list[int]:
         else:
             greedy.append(1 << v)
     lb, _ = _max_clique(comp, G.full_mask)
-    best = [greedy]
+    best = [greedy, 0]  # smallest partition, nodes visited
     if len(greedy) > lb:
         _partition_dfs(0, comp, lb, [], best)
     return sorted(best[0], key=lambda m: m & -m)
 
 
-def _partition_dfs(v: int, comp: list[int], lb: int, state: list[int], best: list[list[int]]) -> None:
+def _partition_dfs(v: int, comp: list[int], lb: int, state: list[int], best: list) -> None:
     """One node of `_exact_clique_partition`: puts vertex v into each class
     of `state` it fits, then into a new class, keeping the smallest complete
-    partition in best[0] and stopping at the lower bound lb. A module-level
-    function, so that the recursion leaves no reference cycle behind."""
+    partition in best[0], the node count in best[1], and stopping at the
+    lower bound lb. A module-level function, so that the recursion leaves no
+    reference cycle behind."""
+    best[1] += 1
+    if best[1] > MAX_PARTITION_NODES:
+        raise LimitExceeded(f"clique partition search exceeds {MAX_PARTITION_NODES} nodes")
     if len(best[0]) == lb:
         return
     if v == len(comp):

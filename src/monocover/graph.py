@@ -230,8 +230,6 @@ def _max_clique(rows: list[int], start: int) -> tuple[int, int]:
     lowest-index-first ordering throughout. Returns (size, vertex mask).
     Raises LimitExceeded past MAX_CLIQUE_NODES nodes.
     """
-    if start == 0:
-        return 0, 0
     best = [0, 0, 0]  # size, vertex mask, nodes expanded
     _expand(rows, start, 0, 0, best)
     return best[0], best[1]
@@ -276,8 +274,6 @@ def independence_number(G: ColoredGraph) -> tuple[int, frozenset[int]]:
     Computed as a maximum clique of the complement (branch and bound with a
     greedy-coloring bound). n = 0 returns (0, empty set).
     """
-    if G.n == 0:
-        return 0, frozenset()
     size, mask = _max_clique(G.complement_rows(), G.full_mask)
     return size, vertex_set(mask)
 
@@ -441,7 +437,9 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
     triangle-free and any shortest odd cycle of it is chordless, i.e. the
     listed vertices are pairwise adjacent in G except consecutive ones.
     Returns None when the complement is bipartite. A triangle in the
-    complement (an independent triple of G) is an error.
+    complement (an independent triple of G) is an error naming the
+    lexicographically first one, which the search below finds as its
+    shortest odd walk, L = 3.
 
     One bit-parallel BFS over the bipartite double cover per start vertex,
     capped at the best length found so far, gives the shortest odd closed
@@ -454,14 +452,6 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
     cycle's lowest vertex, since every vertex on the cycle attains L.
     """
     comp = G.complement_rows()
-    triangle = _complement_triangle(comp)
-    if triangle is not None:
-        u, v, w = triangle
-        raise ValueError(
-            f"complement contains triangle {{{u},{v},{w}}} (independent triple in G)"
-        )
-    # The global minimum is attained by a simple cycle, and the smallest
-    # start index achieving it lies on that cycle.
     best: list[int] | None = None
     for s in range(G.n):
         levels = _odd_walk_levels(comp, s, None if best is None else len(best))
@@ -476,8 +466,11 @@ def find_odd_antihole(G: ColoredGraph) -> list[int] | None:
         cycle.append((step & -step).bit_length() - 1)
     if len(set(cycle)) != L:
         raise AssertionError("shortest odd closed walk was not simple")
-    if L > 2 and cycle[1] > cycle[-1]:
+    if cycle[1] > cycle[-1]:
         cycle = [cycle[0]] + cycle[:0:-1]
+    if L == 3:
+        u, v, w = cycle
+        raise ValueError(f"complement contains triangle {{{u},{v},{w}}} (independent triple in G)")
     return cycle
 
 

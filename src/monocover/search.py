@@ -34,6 +34,10 @@ from .oracle import exists_bounds_cover, min_cover_exact
 
 DEFAULT_BUDGET = 1 << 26
 
+# Largest color count enumerate_colorings accepts, checked before anything is
+# allocated: the report prints r! and the rank tables hold r columns per edge.
+MAX_COLORS = 64
+
 # -- canonical coloring arithmetic -------------------------------------------
 
 
@@ -389,26 +393,17 @@ def format_report(report: SearchReport) -> str:
 
 # -- the search engine ---------------------------------------------------------
 
-def _eval_chunk(job: dict, span: tuple[int, int]):
-    """Decide the coloring ordinals lo..hi-1 of a search `job`: the state
-    enumerate_colorings builds, passed to pool workers with each chunk.
-    With host symmetries in the job, only the least string of each orbit is
-    evaluated, weighted by its orbit members below the job's limit, and a
-    run of ordinals whose common prefix already rules them out is skipped
-    in one step. A predicate fault other than LimitExceeded comes back as a
+def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect, sample_seed, ways, perms, limit):
+    """Decide the coloring ordinals lo..hi-1 of a search whose state
+    enumerate_colorings builds and passes, bound once, to pool workers.
+    With host symmetries (`perms`), only the least string of each orbit is
+    evaluated, weighted by its orbit members below `limit`, and a run of
+    ordinals whose common prefix already rules them out is skipped in one
+    step. A predicate fault other than LimitExceeded comes back as a
     RuntimeError that names the coloring (message only, so it pickles from
     a worker)."""
     lo, hi = span
-    n = job["n"]
-    r = job["r"]
-    pairs = job["pairs"]
-    predicate = job["predicate"]
-    collect = job["collect"]
-    sample_seed = job["sample_seed"]
-    exhaustive = job["mode"] == "exhaustive"
-    ways = job["ways"]
-    perms = job["perms"]
-    limit = job["limit"]
+    exhaustive = mode == "exhaustive"
     m = len(pairs)
     ok = fail = calls = 0
     hist: Counter = Counter()
@@ -492,8 +487,8 @@ def enumerate_colorings(
     the predicate has a true `histogram` attribute.
     """
     start = time.perf_counter()
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    if not 1 <= r <= MAX_COLORS:
+        raise ValueError(f"r must be in 1..{MAX_COLORS}, got {r}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if jobs < 1:
@@ -528,13 +523,13 @@ def enumerate_colorings(
     if evaluated == 0:
         results = []
     elif jobs == 1:
-        results = [_eval_chunk(job, (0, evaluated))]
+        results = [_eval_chunk((0, evaluated), **job)]
     else:
         chunks = min(evaluated, jobs * 4)
         step = -(-evaluated // chunks)
         spans = [(lo, min(lo + step, evaluated)) for lo in range(0, evaluated, step)]
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(partial(_eval_chunk, job), spans)
+            results = pool.map(partial(_eval_chunk, **job), spans)
     ok, fail, best, hist, calls = _merge(results)
     return SearchReport(
         host=f"n={host.n} m={m}",

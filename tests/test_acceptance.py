@@ -10,6 +10,8 @@ import random
 import statistics
 import time
 
+import pytest
+
 from conftest import dp_min_cover, rand_colored
 from monocover.classify import (
     DiamPattern,
@@ -50,6 +52,7 @@ def all_colorings(n):
         yield ColoredGraph(n, 2, {p: 1 + ((bits >> i) & 1) for i, p in enumerate(pairs)})
 
 
+@pytest.mark.slow
 def test_criterion_01_spanning_mono_exhaustive_k7():
     """Every 2-coloring of K7 has a spanning monochromatic piece of
     diameter at most 3; checked for all 2^21 colorings within 5 minutes."""
@@ -88,6 +91,7 @@ def base_pairs(G, color):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_02_classification_exhaustive():
     """The four-way diameter classification agrees with directly computed
     diameters on every 2-coloring of K_n for n = 2..7, and each case's
@@ -124,6 +128,7 @@ def test_criterion_02_classification_exhaustive():
     print(f"criterion 2 PASS: {checked} colorings classified ({summary}), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_cross_base_property():
     """Base edges of the two colors use disjoint vertices, and every cross
     pair induces a K4 whose both color classes are 3-edge paths; exhaustive

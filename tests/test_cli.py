@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -11,9 +12,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matching_union
+from conftest import matching_union, rand_colored
 import monocover
-from monocover import graph, oracle
+from monocover import covers, graph, oracle, search
 from monocover.cli import run
 from monocover.covers import cover_near_split, detect_near_split
 from monocover.generators import (
@@ -134,6 +135,13 @@ def test_cover_two_clique_and_out_file(tmp_path, capsys, monkeypatch):
         stdin_text=text,
     )
     assert code == 0
+    # `--cert -` reads the certificate from stdin; the graph then comes from a file
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(text)
+    code, out, _ = invoke(
+        capsys, monkeypatch, ["verify", "--in", str(graph_file), "--cert", "-"], stdin_text=cert_file.read_text()
+    )
+    assert code == 0 and out.startswith("accepted: 2 components")
 
 
 def test_out_dash_is_stdout(tmp_path, capsys, monkeypatch):
@@ -181,6 +189,14 @@ def test_cover_cliques_limit_exit_code(capsys, monkeypatch):
     code, _, err = invoke(capsys, monkeypatch, ["cover", "--method", "cliques"], stdin_text=text)
     assert code == 3
     assert "error:" in err
+
+
+def test_cover_cliques_partition_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(covers, "MAX_PARTITION_NODES", 10)
+    text = format_graph(rand_colored(12, 0.5, seed=0))
+    code, out, err = invoke(capsys, monkeypatch, ["cover", "--method", "cliques"], stdin_text=text)
+    assert code == 3 and out == ""
+    assert "clique partition search exceeds 10 nodes" in err
 
 
 def test_cover_node_budget_exit_code(capsys, monkeypatch):
@@ -283,6 +299,26 @@ def test_search_exit_codes(capsys, monkeypatch):
     assert "histogram = 1:26,2:6" in out
 
 
+def test_search_colors_are_bounded(capsys, monkeypatch):
+    """A color count past search.MAX_COLORS exits 2 before any search, naming
+    the bound; the bound itself runs and prints r!."""
+    host = "2 1\n0 1 1\n"
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, monkeypatch, ["search", "--colors", "2000", "--predicate", "min-cover-atmost:1,1"], stdin_text=host
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == f"error: r must be in 1..{search.MAX_COLORS}, got 2000\n"
+    code, out, _ = invoke(
+        capsys,
+        monkeypatch,
+        ["search", "--colors", str(search.MAX_COLORS), "--predicate", "min-cover-atmost:1,1"],
+        stdin_text=host,
+    )
+    assert code == 0 and f"symmetry_factor = {math.factorial(search.MAX_COLORS)}" in out
+
+
 def test_usage_errors(capsys, monkeypatch):
     assert invoke(capsys, monkeypatch, ["bogus"])[0] == 2
     assert invoke(capsys, monkeypatch, ["cover"])[0] == 2  # missing --method
@@ -332,6 +368,10 @@ def test_usage_errors(capsys, monkeypatch):
         assert code == 2 and f"error: predicate {text.partition(':')[0]} takes {syntax}" in err, (text, err)
     # malformed graph input
     assert invoke(capsys, monkeypatch, ["classify"], stdin_text="oops\n")[0] == 2
+    # graph and certificate cannot both come from stdin
+    for argv in (["verify", "--cert", "-"], ["verify", "--in", "-", "--cert", "-"]):
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin_text=format_graph(gen_p42(1)))
+        assert code == 2 and out == "" and err == "error: --in and --cert cannot both come from stdin\n", argv
     # oracle has no --jobs flag: the exact solver is single-threaded
     code, _, err = invoke(
         capsys, monkeypatch, ["oracle", "--min-cover", "2", "--jobs", "4"], stdin_text=format_graph(gen_p42(1))

@@ -637,6 +637,17 @@ def test_cover_via_cliques_limit():
     assert len(cover_via_cliques(big, max_n=25)) == 25
 
 
+def test_clique_partition_has_a_node_budget(monkeypatch):
+    """The partition search is capped at covers.MAX_PARTITION_NODES nodes:
+    past the cap, cover_via_cliques raises LimitExceeded instead of running
+    on."""
+    G = rand_colored(12, 0.5, seed=0)  # the partition search runs past its greedy start here
+    assert verify_cover(G, cover_via_cliques(G))
+    monkeypatch.setattr(covers, "MAX_PARTITION_NODES", 10)
+    with pytest.raises(LimitExceeded, match="clique partition search exceeds 10 nodes"):
+        cover_via_cliques(G)
+
+
 def test_labels_branch_alpha_has_a_node_budget(monkeypatch):
     """The labels branch's exact alpha is a branch and bound capped at
     graph.MAX_CLIQUE_NODES nodes: past the cap, cover_general raises

@@ -324,6 +324,20 @@ def test_complement_triangle_is_first_independent_triple():
         assert _complement_triangle(G.complement_rows()) == (triples[0] if triples else None)
     with pytest.raises(ValueError, match=r"triangle \{0,1,2\}"):
         find_odd_antihole(build_graph(3, 2, []))
+    # every graph on at most 6 vertices: find_odd_antihole fails exactly when
+    # the complement has a triangle, naming the first one, and otherwise
+    # returns the reference cycle
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for subset in range(1 << len(pairs)):
+            G = build_graph(n, 2, [(u, v, 1) for i, (u, v) in enumerate(pairs) if subset >> i & 1])
+            triangle = _complement_triangle(G.complement_rows())
+            if triangle is None:
+                assert find_odd_antihole(G) == reference_odd_antihole(G), (n, subset)
+                continue
+            with pytest.raises(ValueError) as error:
+                find_odd_antihole(G)
+            assert str(error.value) == "complement contains triangle {%d,%d,%d} (independent triple in G)" % triangle
 
 
 def test_induced_subgraph_relabels():
