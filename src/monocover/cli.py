@@ -365,7 +365,7 @@ def _build_parser() -> _Parser:
     search = sub.add_parser("search", help="evaluate a predicate over the colorings of a host graph")
     search.add_argument("--host", default="-", help="host graph file (default: stdin)")
     search.add_argument("--colors", type=int, required=True, metavar="R", help="number of colors")
-    search.add_argument("--predicate", required=True, help="e.g. has-bounds-cover:3,3")
+    search.add_argument("--predicate", required=True, help="one of " + ", ".join(_PREDICATE_SYNTAX.values()))
     search.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     search.add_argument("--samples", type=int, help="sample count for --mode sample")
     search.add_argument("--seed", type=int, help="sampling seed for --mode sample (default 0)")

@@ -15,6 +15,11 @@ cover component lies inside a maximal candidate of the same color and bound.
 The search visits at most MAX_SEARCH_NODES nodes per call. Candidates are
 (color, vertex mask) pairs throughout; only the certificates returned hold
 frozensets.
+
+`two_piece_cover` is the cheap side door: a spanning color, or a closed
+monochromatic star plus the rest, found with a few diameter tests and no
+candidate families and returned as (color, vertex mask, bound) pieces.
+It refuses the same inputs as the exact oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +45,17 @@ DEFAULT_MAX_N = 18
 MAX_SEARCH_NODES = 2_000_000
 
 
+def _check_bounds(G: ColoredGraph, bounds, max_n: int) -> None:
+    """Refuses what every oracle entry point refuses: no bounds, a negative
+    bound (the least is named), or a graph above the size limit."""
+    if not bounds:
+        raise ValueError("bounds list must not be empty")
+    if min(bounds) < 0:
+        raise ValueError(f"diameter bound must be >= 0, got {min(bounds)}")
+    if G.n > max_n:
+        raise LimitExceeded(f"n={G.n} exceeds the oracle size limit {max_n}")
+
+
 def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, int]]:
     """Exactly the maximal diameter-<=d monochromatic vertex sets per color,
     as a list of (color, vertex mask) pairs sorted by color, then mask.
@@ -52,10 +68,7 @@ def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> l
     lost; any other node tests its clique alone. Qualifying masks are
     scanned by decreasing size and kept unless a kept mask contains them.
     """
-    if d < 0:
-        raise ValueError(f"diameter bound must be >= 0, got {d}")
-    if G.n > max_n:
-        raise LimitExceeded(f"n={G.n} exceeds the oracle size limit {max_n}")
+    _check_bounds(G, (d,), max_n)
     out: list[tuple[int, int]] = []
     for color in range(1, G.r + 1):
         rows = G.color_rows[color - 1]
@@ -190,8 +203,7 @@ def exists_bounds_cover(G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT
     in the order of their entries (an unused entry gets none); their bounds
     record the achieved diameters."""
     bounds = list(bounds)
-    if not bounds:
-        raise ValueError("bounds list must not be empty")
+    _check_bounds(G, bounds, max_n)
     fams, through, cover_of = _families(G, bounds, max_n)
     if G.full_mask == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",))
@@ -204,3 +216,48 @@ def exists_bounds_cover(G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT
     comps = tuple(_component(G, c, m) for _i, (c, m) in placed)
     log = (f"cover with per-component bounds {bounds} over maximal candidates",)
     return CoverCertificate(comps, log)
+
+
+def two_piece_cover(G: ColoredGraph, bounds) -> tuple[tuple[int, int, int], ...] | None:
+    """A cover with at most one component per entry of `bounds` made of one
+    spanning color, or of one closed monochromatic star N_c[v] plus the rest
+    of V in some color, as (color, vertex mask, bound) pieces; None when
+    neither exists (a cover may still). The empty graph gives no pieces.
+
+    First each color is tested for spanning V within the largest entry.
+    Failing that, with at least two entries b1 <= b2 (the two largest), each
+    star in color order, then vertex order, is tried within b1 with the rest
+    within b2, else within b2 with the rest within b1. A star that fits spans
+    less than V, or its color would have spanned it, so the rest is nonempty.
+    Each piece's bound is the entry it fits. Masks, not a certificate, are
+    returned: the search predicates only count the pieces, and building
+    frozensets for every coloring cost about 8% of a search-exhaustive
+    benchmark round. Refuses the inputs that `exists_bounds_cover` refuses,
+    with the same errors.
+    """
+    bounds = sorted(bounds)
+    _check_bounds(G, bounds, DEFAULT_MAX_N)
+    full = G.full_mask
+    if full == 0:
+        return ()
+    rows_by_color = list(enumerate(G.color_rows, 1))
+    for c, rows in rows_by_color:
+        if _mask_diam_le(rows, full, bounds[-1]):
+            return ((c, full, bounds[-1]),)
+    if len(bounds) < 2:
+        return None
+    b1, b2 = bounds[-2:]
+    for c, rows in rows_by_color:
+        for v in range(G.n):
+            star = rows[v] | 1 << v
+            if _mask_diam_le(rows, star, b1):
+                star_bound, rest_bound = b1, b2
+            elif _mask_diam_le(rows, star, b2):
+                star_bound, rest_bound = b2, b1
+            else:
+                continue
+            rest = full & ~star
+            for c2, rows2 in rows_by_color:
+                if _mask_diam_le(rows2, rest, rest_bound):
+                    return ((c, star, star_bound), (c2, rest, rest_bound))
+    return None

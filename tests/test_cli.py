@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import matching_union, rand_colored
 import monocover
 from monocover import covers, graph, oracle, search
-from monocover.cli import run
+from monocover.cli import _PREDICATE_SYNTAX, run
 from monocover.covers import cover_near_split, detect_near_split
 from monocover.generators import (
     gen_antihole,
@@ -317,6 +317,32 @@ def test_search_colors_are_bounded(capsys, monkeypatch):
         stdin_text=host,
     )
     assert code == 0 and f"symmetry_factor = {math.factorial(search.MAX_COLORS)}" in out
+
+
+def test_search_predicate_arguments_are_usage_errors(capsys, monkeypatch):
+    """A bad predicate argument exits 2 before any coloring is decided, and
+    names the argument, not a coloring."""
+    host = format_graph(gen_antihole(2))
+    for text, message in (
+        ("has-bounds-cover:-1", "has-bounds-cover: bound must be >= 0, got -1"),
+        ("has-bounds-cover:3,-2", "has-bounds-cover: bound must be >= 0, got -2"),
+        ("min-cover-atmost:2,-1", "min-cover-atmost: k must be >= 0, got -1"),
+        ("min-cover-atmost:-1,2", "min-cover-atmost: d must be >= 0, got -1"),
+        ("constructive-matches-oracle:-1", "constructive-matches-oracle: d must be >= 0, got -1"),
+        ("min-cover-distribution:-3", "min-cover-distribution: d must be >= 0, got -3"),
+    ):
+        code, out, err = invoke(
+            capsys, monkeypatch, ["search", "--colors", "2", "--predicate", text], stdin_text=host
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
+
+
+def test_search_help_lists_every_predicate_form(capsys, monkeypatch):
+    code, out, _ = invoke(capsys, monkeypatch, ["search", "--help"])
+    assert code == 0
+    flat = "".join(out.split())  # argparse wraps help lines, also at hyphens
+    for form in _PREDICATE_SYNTAX.values():
+        assert form in flat, form
 
 
 def test_usage_errors(capsys, monkeypatch):

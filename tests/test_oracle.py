@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,16 @@ from conftest import (
 )
 from monocover import oracle
 from monocover.generators import gen_antihole, gen_k7_triple, gen_p42
-from monocover.graph import LimitExceeded, build_graph, format_certificate, verify_cover
-from monocover.oracle import exists_bounds_cover, maximal_candidates, min_cover_exact
+from monocover.graph import (
+    CoverCertificate,
+    CoverComponent,
+    LimitExceeded,
+    build_graph,
+    format_certificate,
+    vertex_set,
+    verify_cover,
+)
+from monocover.oracle import exists_bounds_cover, maximal_candidates, min_cover_exact, two_piece_cover
 
 
 def test_min_cover_frozen_values():
@@ -238,3 +247,53 @@ def test_oracle_size_limit():
     with pytest.raises(LimitExceeded):
         exists_bounds_cover(big, [2])
     assert min_cover_exact(big, 2, max_n=19)[0] == 19
+
+
+def all_two_colored(n):
+    """Every 2-colored graph on n vertices: each pair absent, color 1 or color 2."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        yield build_graph(n, 2, [(u, v, c) for (u, v), c in zip(pairs, states) if c])
+
+
+def test_two_piece_cover_is_a_certificate_the_oracle_agrees_with():
+    graphs = [G for n in range(5) for G in all_two_colored(n)]
+    graphs += [rand_colored(5 + s % 5, 0.3 + 0.1 * (s % 7), seed=7700 + s, r=2 + s % 2) for s in range(500)]
+    lists = [(1, 2), (2, 3), (1, 1, 1), (3,)] + [b for d in range(5) for b in ((d,), (d, d), (d, d + 1))]
+    fired = Counter()
+    for G in graphs:
+        for bounds in lists:
+            pieces = two_piece_cover(G, bounds)
+            fired[len(pieces) if pieces is not None else None] += 1
+            if len(bounds) == 1:
+                # one entry: a spanning color is the only possible cover
+                assert (pieces is None) == (exists_bounds_cover(G, bounds) is None), (G, bounds)
+            if pieces is None:
+                continue
+            cert = CoverCertificate(tuple(CoverComponent(c, vertex_set(m), b) for c, m, b in pieces))
+            assert verify_cover(G, cert), (G, bounds)
+            assert Counter(cert.bounds()) <= Counter(bounds), (G, bounds)
+            assert exists_bounds_cover(G, bounds) is not None, (G, bounds)
+            if len(bounds) == 2 and bounds[0] == bounds[1]:
+                assert len(cert) == min_cover_exact(G, bounds[0])[0], (G, bounds)
+    assert fired[0] and fired[1] and fired[2] and fired[None]
+
+
+def test_two_piece_cover_refuses_what_the_oracle_refuses():
+    one, big = build_graph(1, 2, []), build_graph(19, 2, [])
+    for G, bounds, error in (
+        (one, [], ValueError),
+        (one, [-1], ValueError),
+        (one, [2, -1, -3], ValueError),
+        (big, [2, 2], LimitExceeded),
+    ):
+        with pytest.raises(error) as expected:
+            exists_bounds_cover(G, bounds)
+        with pytest.raises(error) as got:
+            two_piece_cover(G, bounds)
+        assert str(got.value) == str(expected.value), bounds
+    with pytest.raises(ValueError, match="diameter bound must be >= 0, got -1"):
+        two_piece_cover(one, [-1])
+    # n = 0 gives no pieces, as the oracle gives an empty certificate
+    empty = build_graph(0, 2, [])
+    assert len(two_piece_cover(empty, [0])) == len(exists_bounds_cover(empty, [0])) == 0

@@ -433,3 +433,77 @@ def test_budget_ends_inside_an_orbit():
     m = len(host.edge_color)
     digits = _rgs_unrank(1001, m, 2, _rgs_ways(m, 2))
     assert _orbit_weight(digits, _edge_automorphisms(host), 2, None)[0] == 0
+
+
+# -- certificate-first predicates ------------------------------------------------
+
+# (ok_count, fail_count, worst_badness, witness_ordinal, histogram, evaluations)
+# per host and predicate, as the oracle-only predicates reported them
+FROZEN_REPORTS = {
+    ("antihole7", "has-bounds-cover(3,3)"): (8192, 0, 0, 0, None, 650),
+    ("antihole7", "has-bounds-cover(2,2)"): (8184, 8, 1, 3692, None, 650),
+    ("antihole7", "has-bounds-cover(1,2)"): (7232, 960, 1, 1111, None, 650),
+    ("antihole7", "has-bounds-cover(2)"): (449, 7743, 1, 9, None, 650),
+    ("antihole7", "has-bounds-cover(1,1,1)"): (7099, 1093, 1, 55, None, 650),
+    ("antihole7", "min-cover-distribution(d=1)"): (8192, 0, 4, 55, ((3, 7099), (4, 1093)), 650),
+    ("antihole7", "min-cover-distribution(d=2)"): (8192, 0, 3, 3692, ((1, 449), (2, 7735), (3, 8)), 650),
+    ("antihole7", "min-cover-distribution(d=3)"): (8192, 0, 2, 59, ((1, 4615), (2, 3577)), 650),
+    ("antihole7", "min-cover-atmost(d=2,k=1)"): (449, 7743, 3, 3692, None, 650),
+    ("k6", "has-bounds-cover(3,3)"): (16384, 0, 0, 0, None, 78),
+    ("k6", "has-bounds-cover(2,2)"): (16384, 0, 0, 0, None, 78),
+    ("k6", "has-bounds-cover(1,2)"): (16384, 0, 0, 0, None, 78),
+    ("k6", "has-bounds-cover(2)"): (10744, 5640, 1, 1101, None, 78),
+    ("k6", "has-bounds-cover(1,1,1)"): (16384, 0, 0, 0, None, 78),
+    ("k6", "min-cover-distribution(d=1)"): (16384, 0, 3, 116, ((1, 1), (2, 9081), (3, 7302)), 78),
+    ("k6", "min-cover-distribution(d=2)"): (16384, 0, 2, 1101, ((1, 10744), (2, 5640)), 78),
+    ("k6", "min-cover-distribution(d=3)"): (16384, 0, 1, 0, ((1, 16384),), 78),
+    ("k6", "min-cover-atmost(d=2,k=1)"): (10744, 5640, 2, 1101, None, 78),
+    ("c5", "has-bounds-cover(3,3)"): (16, 0, 0, 0, None, 4),
+    ("c5", "has-bounds-cover(2,2)"): (16, 0, 0, 0, None, 4),
+    ("c5", "has-bounds-cover(1,2)"): (16, 0, 0, 0, None, 4),
+    ("c5", "has-bounds-cover(2)"): (1, 15, 1, 1, None, 4),
+    ("c5", "has-bounds-cover(1,1,1)"): (16, 0, 0, 0, None, 4),
+    ("c5", "min-cover-distribution(d=1)"): (16, 0, 3, 0, ((3, 16),), 4),
+    ("c5", "min-cover-distribution(d=2)"): (16, 0, 2, 1, ((1, 1), (2, 15)), 4),
+    ("c5", "min-cover-distribution(d=3)"): (16, 0, 2, 1, ((1, 1), (2, 15)), 4),
+    ("c5", "min-cover-atmost(d=2,k=1)"): (1, 15, 2, 1, None, 4),
+}
+
+
+def test_frozen_search_reports():
+    hosts = {"antihole7": gen_antihole(3), "k6": complete_host(6), "c5": gen_antihole(2)}
+    predicates = [HasBoundsCover(b) for b in ((3, 3), (2, 2), (1, 2), (2,), (1, 1, 1))]
+    predicates += [MinCoverDistribution(d) for d in (1, 2, 3)] + [MinCoverAtMost(2, 1)]
+    got = {}
+    for host_name, host in hosts.items():
+        for predicate in predicates:
+            r = enumerate_colorings(host, 2, predicate)
+            fields = (r.ok_count, r.fail_count, r.worst_badness, r.witness_ordinal, r.histogram, r.evaluations)
+            got[host_name, predicate.name] = fields
+    assert got == FROZEN_REPORTS
+
+
+def test_predicate_arguments_are_checked():
+    for make, message in (
+        (lambda: HasBoundsCover((3, -1)), "has-bounds-cover: bound must be >= 0, got -1"),
+        (lambda: MinCoverAtMost(-1, 2), "min-cover-atmost: d must be >= 0, got -1"),
+        (lambda: MinCoverAtMost(2, -1), "min-cover-atmost: k must be >= 0, got -1"),
+        (lambda: ConstructiveMatchesOracle(-2), "constructive-matches-oracle: d must be >= 0, got -2"),
+        (lambda: MinCoverDistribution(-1), "min-cover-distribution: d must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    assert MinCoverAtMost(0, 0).evaluate(build_graph(1, 2, [])) == (False, 1)
+
+
+def test_size_limit_fires_where_a_cheap_cover_exists(capsys, monkeypatch):
+    # color 1 spans the all-color-1 path on 19 vertices within 18: the fast
+    # path would answer, but the oracle's size limit comes first
+    path = build_graph(19, 2, [(v, v + 1, 1) for v in range(18)])
+    with pytest.raises(LimitExceeded, match="n=19 exceeds the oracle size limit 18"):
+        enumerate_colorings(path, 2, MinCoverDistribution(18), budget=1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(path)))
+    argv = ["search", "--colors", "2", "--predicate", "min-cover-distribution:18", "--budget", "1"]
+    assert cli.run(argv) == 3
+    assert capsys.readouterr().err == "error: n=19 exceeds the oracle size limit 18\n"
