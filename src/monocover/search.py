@@ -15,7 +15,9 @@ and credits the verdict to every orbit member inside the decided ordinal
 range. Counts, histograms and witnesses equal those of evaluating every
 ordinal (isomorph rejection, McKay, J. Algorithms 1998). A permutation that
 moves a string below itself by reading only a prefix rules out every string
-with that prefix, so the walk jumps over them by rank.
+with that prefix, so the walk jumps past them. The sorted group is read as a
+prefix tree: the permutations that share a prefix compare alike from there,
+so one comparison settles the whole block.
 
 The predicates are certificate-first: `oracle.two_piece_cover` looks for a
 spanning color, then a closed monochromatic star plus the rest, and only a
@@ -102,22 +104,12 @@ def _rgs_rank(digits: list[int], ways: list[list[int]]) -> int:
 
 
 def _rgs_next(digits: list[int], r: int) -> bool:
-    """Advance to the lexicographically next canonical string, in place."""
-    m = len(digits)
-    prefmax = [0] * m
-    best = -1
-    for i in range(m):
-        prefmax[i] = best
-        if digits[i] > best:
-            best = digits[i]
-    for i in range(m - 1, 0, -1):
-        lim = prefmax[i] + 1
-        if lim > r - 1:
-            lim = r - 1
-        if digits[i] < lim:
+    """Advance to the lexicographically next canonical string, in place: raise
+    the last digit that is below r - 1 and not the first of its color."""
+    for i in range(len(digits) - 1, 0, -1):
+        if digits[i] < r - 1 and digits.index(digits[i]) < i:
             digits[i] += 1
-            for j in range(i + 1, m):
-                digits[j] = 0
+            digits[i + 1 :] = [0] * (len(digits) - i - 1)
             return True
     return False
 
@@ -145,7 +137,7 @@ def apply_coloring(host: ColoredGraph, colors: tuple[int, ...], r: int | None = 
 
 # -- host symmetry -------------------------------------------------------------
 
-_AUTOMORPHISM_CAP = 40320  # 8!; the orbit test costs time linear in the group
+_AUTOMORPHISM_CAP = 40320  # 8!; the orbit test may still read the whole list
 
 
 def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
@@ -168,12 +160,11 @@ def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
         maps.clear()
         fixed += 1
     pairs = sorted(host.edge_color)
-    index = {e: i for i, e in enumerate(pairs)}
-    perms = {
-        tuple(index[(s[u], s[v]) if s[u] < s[v] else (s[v], s[u])] for u, v in pairs) for s in maps
-    }
-    perms.discard(tuple(range(len(pairs))))
-    return sorted(perms)
+    position = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        position[u][v] = position[v][u] = i
+    # distinct maps give distinct permutations; the identity sorts first
+    return sorted(tuple(position[s[u]][s[v]] for u, v in pairs) for s in maps)[1:]
 
 
 def _extend(v: int, used: int, fixed: int, adj, degree, lower: int, img: list[int], found: list) -> bool:
@@ -209,44 +200,70 @@ def _extend(v: int, used: int, fixed: int, adj, degree, lower: int, img: list[in
     return True
 
 
-def _compare_image(digits: list[int], p: tuple[int, ...], r: int, target) -> int:
-    """Compare the canonical string of `digits` moved by the edge permutation
-    p with `target`: 0 when equal, else -(i+1) or i+1 as the image is below
-    or above it, where i is the first position that differs."""
-    relabel = [-1] * r
-    fresh = 0
-    for i, j in enumerate(p):
-        c = relabel[digits[j]]
-        if c < 0:
-            c = relabel[digits[j]] = fresh
-            fresh += 1
-        if c != target[i]:
-            return -i - 1 if c < target[i] else i + 1
-    return 0
+def _common_prefixes(perms) -> list[int]:
+    """lcp[j]: the length of the common prefix of perms[j-1] and perms[j]
+    (0 for j = 0), which makes the sorted list a prefix tree."""
+    return [0] + [next(i for i, (a, b) in enumerate(zip(p, q)) if a != b) for p, q in zip(perms, perms[1:])]
 
 
-def _orbit_weight(digits: list[int], perms, r: int, limit: tuple[int, ...] | None) -> tuple[int, int]:
-    """Orbit test of the canonical string `digits` under the edge
-    permutations `perms` (with the identity, a group) and color relabeling.
+def _orbit_weight(digits: list[int], perms, r: int, limit: tuple[int, ...] | None, lcp) -> tuple[int, int]:
+    """Orbit test of the canonical string `digits` under the sorted edge
+    permutations `perms` (with the identity, a group; `lcp` from
+    _common_prefixes) and color relabeling.
 
     For the least string of its orbit, returns (w, 0): w counts the orbit
     strings below `limit` (all when None). Each orbit string is the image
     of as many group elements as fix `digits`, so w is a quotient. Any
     other string gives (0, k): a permutation moves it below itself reading
-    only its first k digits, so no string sharing them is least either."""
-    # digits < limit, first apart at `split`: an image above digits that
-    # parts from it earlier is above limit, one that parts later is below
+    only its first k digits, so no string sharing them is least either.
+
+    Each element's scan resumes after the prefix it shares with the one
+    read before it. Where an image parts from its target at position i,
+    the following elements that share p[:i+1] part alike, decided with it."""
+    # digits < limit, first apart at `split`. An image that agrees with
+    # digits through split is below limit; one that agrees with limit
+    # through split is compared with limit from then on (`target`)
     split = -1 if limit is None else next(i for i, d in enumerate(digits) if d != limit[i])
     stabilizer = below = 1
-    for p in perms:
-        sign = _compare_image(digits, p, r, digits)
-        if sign < 0:
-            return 0, max(p[:-sign]) + 1
-        if sign == 0:
-            stabilizer += 1
-            below += 1
-        elif sign > split + 1 or (sign == split + 1 and _compare_image(digits, p, r, limit) < 0):
-            below += 1
+    m, count = len(digits), len(perms)
+    relabel = [-1] * r  # digit -> its label in the image read so far
+    at = [0] * r  # the position where each label was given
+    fresh = j = 0
+    target = digits
+    while j < count:
+        # keep what was read of the prefix shared with p, the element read last
+        start = lcp[j]
+        while fresh and at[fresh - 1] >= start:
+            fresh -= 1
+            relabel[digits[p[at[fresh]]]] = -1
+        if start <= split:
+            target = digits
+        p = perms[j]
+        for i in range(start, m):
+            d = digits[p[i]]
+            c = relabel[d]
+            if c < 0:
+                c = relabel[d] = fresh
+                at[fresh] = i
+                fresh += 1
+            if c != target[i]:
+                if i != split or c != limit[i]:
+                    break
+                target = limit
+        else:
+            if target is digits:
+                stabilizer += 1
+                below += 1
+            j += 1
+            continue
+        if target is digits and c < digits[i]:
+            return 0, max(p[: i + 1]) + 1
+        k = j + 1
+        while k < count and lcp[k] > i:
+            k += 1
+        if (target is digits and i > split) or c < limit[i]:
+            below += k - j
+        j = k
     return below // stabilizer, 0
 
 
@@ -427,15 +444,15 @@ def format_report(report: SearchReport) -> str:
 
 # -- the search engine ---------------------------------------------------------
 
-def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect, sample_seed, ways, perms, limit):
+def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect, sample_seed, ways, perms, lcp, limit):
     """Decide the coloring ordinals lo..hi-1 of a search whose state
     enumerate_colorings builds and passes, bound once, to pool workers.
     With host symmetries (`perms`), only the least string of each orbit is
     evaluated, weighted by its orbit members below `limit`, and a run of
-    ordinals whose common prefix already rules them out is skipped in one
-    step. A predicate fault other than LimitExceeded comes back as a
-    RuntimeError that names the coloring (message only, so it pickles from
-    a worker)."""
+    strings whose common prefix already rules them out is skipped in one
+    step; a string is ranked only to name it. A predicate fault other than
+    LimitExceeded comes back as a RuntimeError that names the coloring
+    (message only, so it pickles from a worker)."""
     lo, hi = span
     exhaustive = mode == "exhaustive"
     m = len(pairs)
@@ -444,41 +461,45 @@ def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect,
     best = None  # (badness, ordinal, colors)
     if exhaustive:
         digits = _rgs_unrank(lo, m, r, ways)
-    ordinal = lo
-    while ordinal < hi:
+        end = _rgs_unrank(hi, m, r, ways) if hi < count_canonical(m, r) else None
+    ordinal = lo  # sample mode's index; exhaustive mode ranks digits when needed
+    while True:
         if not exhaustive:
             rng = random.Random(sample_seed * (1 << 32) + ordinal)
             digits = _canonicalize([rng.randrange(r) for _ in range(m)])
-        weight, keep = _orbit_weight(digits, perms, r, limit) if perms else (1, 0)
-        if not weight:
-            # skip every string that shares the rejected prefix
-            head = digits[:keep]
+        weight, keep = _orbit_weight(digits, perms, r, limit, lcp) if perms else (1, 0)
+        if weight:
+            calls += 1
+            colors = tuple(d + 1 for d in digits)
+            G = ColoredGraph(n, r, dict(zip(pairs, colors)))
+            try:
+                passed, badness = predicate.evaluate(G)
+            except LimitExceeded:
+                raise
+            except Exception as exc:
+                where = _rgs_rank(digits, ways) if exhaustive else ordinal
+                shown = ",".join(map(str, colors))
+                raise RuntimeError(f"coloring ordinal {where}, colors {shown}: {type(exc).__name__}: {exc}") from exc
+            if passed:
+                ok += weight
+            else:
+                fail += weight
+            if collect:
+                hist[badness] += weight
+            if best is None or badness > best[0]:
+                best = (badness, _rgs_rank(digits, ways) if exhaustive else ordinal, colors)
+        if exhaustive:
+            # the next string not sharing digits[:keep] (all of it, once decided)
+            head = digits[: keep or m]
             if not _rgs_next(head, r):
                 break
-            digits[:] = head + [0] * (m - keep)
-            ordinal = _rgs_rank(digits, ways)
-            continue
-        calls += 1
-        colors = tuple(d + 1 for d in digits)
-        G = ColoredGraph(n, r, dict(zip(pairs, colors)))
-        try:
-            passed, badness = predicate.evaluate(G)
-        except LimitExceeded:
-            raise
-        except Exception as exc:
-            shown = ",".join(map(str, colors))
-            raise RuntimeError(f"coloring ordinal {ordinal}, colors {shown}: {type(exc).__name__}: {exc}") from exc
-        if passed:
-            ok += weight
+            digits = head + [0] * (m - len(head))
+            if end is not None and digits >= end:
+                break
         else:
-            fail += weight
-        if collect:
-            hist[badness] += weight
-        if best is None or badness > best[0]:
-            best = (badness, ordinal, colors)
-        ordinal += 1
-        if exhaustive and ordinal < hi:
-            _rgs_next(digits, r)
+            ordinal += 1
+            if ordinal == hi:
+                break
     return ok, fail, best, hist, calls
 
 
@@ -542,6 +563,7 @@ def enumerate_colorings(
     collect = getattr(predicate, "histogram", False)
     reduce = mode == "exhaustive" and getattr(predicate, "invariant", False)
     ways = _rgs_ways(m, r) if mode == "exhaustive" else None
+    perms = _edge_automorphisms(host) if reduce else []
     job = dict(
         n=host.n,
         r=r,
@@ -551,7 +573,8 @@ def enumerate_colorings(
         collect=collect,
         sample_seed=seed,
         ways=ways,
-        perms=_edge_automorphisms(host) if reduce else (),
+        perms=perms,
+        lcp=_common_prefixes(perms),
         limit=tuple(_rgs_unrank(evaluated, m, r, ways)) if reduce and evaluated < scope else None,
     )
     if evaluated == 0:
@@ -583,7 +606,7 @@ def enumerate_colorings(
         histogram=tuple(sorted(hist.items())) if collect else None,
         wall_seconds=time.perf_counter() - start,
         jobs=jobs,
-        group_order=len(job["perms"]) + 1,
+        group_order=len(perms) + 1,
         evaluations=calls,
     )
 

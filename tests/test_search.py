@@ -1,3 +1,4 @@
+import bisect
 import io
 import itertools
 import math
@@ -22,7 +23,8 @@ from monocover.search import (
     format_report,
     min_cover_distribution,
 )
-from monocover.search import _edge_automorphisms, _orbit_weight, _rgs_next, _rgs_rank, _rgs_unrank, _rgs_ways
+from monocover.search import _common_prefixes, _edge_automorphisms, _orbit_weight
+from monocover.search import _rgs_next, _rgs_rank, _rgs_unrank, _rgs_ways
 
 
 def complete_host(n):
@@ -432,7 +434,91 @@ def test_budget_ends_inside_an_orbit():
     host = gen_antihole(3)
     m = len(host.edge_color)
     digits = _rgs_unrank(1001, m, 2, _rgs_ways(m, 2))
-    assert _orbit_weight(digits, _edge_automorphisms(host), 2, None)[0] == 0
+    perms = _edge_automorphisms(host)
+    assert _orbit_weight(digits, perms, 2, None, _common_prefixes(perms))[0] == 0
+
+
+def orbit_table(host, r):
+    """Every canonical string of the host's r-colorings, and for each the
+    set of canonical strings in its orbit, by brute force over all vertex
+    permutations (no _edge_automorphisms, no _orbit_weight)."""
+    m = len(host.edge_color)
+    group = brute_edge_automorphisms(host) + [tuple(range(m))]
+    strings = brute_canonical(m, r)
+    orbit_of = {}
+    for s in strings:
+        if s not in orbit_of:
+            orbit = {tuple(search._canonicalize([s[q] for q in p])) for p in group}
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    return strings, orbit_of
+
+
+def test_orbit_weight_matches_brute_force():
+    rng = random.Random(19)
+    isolated_edges = build_graph(7, 2, [(0, 1, 1), (2, 3, 1), (4, 5, 1), (4, 6, 1), (5, 6, 1)])
+    hosts = [(gen_antihole(2), 2), (complete_host(4), 2), (complete_host(4), 3), (complete_host(5), 3)]
+    hosts += [(gen_p42(1), 2), (gen_p42(1), 3), (isolated_edges, 2), (isolated_edges, 3)]
+    while len(hosts) < 20:
+        host, r = random_host(rng, rng.randint(2, 6)), rng.choice((2, 3))
+        if count_canonical(len(host.edge_color), r) <= 3000:
+            hosts.append((host, r))
+    for host, r in hosts:
+        perms = _edge_automorphisms(host)
+        lcp = _common_prefixes(perms)
+        strings, orbit_of = orbit_table(host, r)
+        least_before = list(itertools.accumulate((min(orbit_of[s]) == s for s in strings), initial=0))
+        limits = [None] + [rng.choice(strings[1:]) for _ in range(3) if len(strings) > 1]
+        for limit in limits:
+            for s in strings if limit is None else strings[: strings.index(limit)]:
+                w, keep = _orbit_weight(list(s), perms, r, limit, lcp)
+                if min(orbit_of[s]) == s:
+                    assert keep == 0 and w == sum(limit is None or t < limit for t in orbit_of[s]), (s, limit)
+                    continue
+                # every string that shares s[:keep] is not least
+                assert w == 0 and 1 <= keep <= len(s), (s, limit)
+                first = bisect.bisect_left(strings, s[:keep])
+                past = bisect.bisect_left(strings, s[: keep - 1] + (s[keep - 1] + 1,))
+                assert least_before[past] == least_before[first], (s, keep, format_graph(host))
+
+
+def test_orbit_walk_visits_the_same_strings(monkeypatch):
+    # calls to _orbit_weight in serial runs: one per string the walk lands
+    # on, least or not; a change to the walk that skips more or less shows
+    calls = []
+    counted = search._orbit_weight
+
+    def counting(*args):
+        calls.append(args[0])
+        return counted(*args)
+
+    monkeypatch.setattr(search, "_orbit_weight", counting)
+    for host, r, predicate, budget, want in (
+        (gen_antihole(3), 2, HasBoundsCover((3, 3)), search.DEFAULT_BUDGET, 2102),
+        (complete_host(6), 2, MinCoverDistribution(2), search.DEFAULT_BUDGET, 326),
+        (complete_host(5), 3, MinCoverDistribution(1), search.DEFAULT_BUDGET, 590),
+        (gen_antihole(3), 2, HasBoundsCover((2, 2)), 1001, 939),
+        (complete_host(7), 2, MinCoverDistribution(2), 5000, 321),
+    ):
+        calls.clear()
+        enumerate_colorings(host, r, predicate, budget=budget)
+        assert len(calls) == want, predicate.name
+
+
+def test_orbit_reduction_equals_plain_on_random_hosts():
+    rng = random.Random(1919)
+    predicates = list(itertools.chain.from_iterable(INVARIANT_INSTANCES.values()))
+    for case in range(150):
+        n = rng.randint(4, 6)
+        host = build_graph(n, 2, []) if case % 25 == 0 else random_host(rng, n)
+        r = rng.choice((2, 3))
+        space = count_canonical(len(host.edge_color), r)
+        budget = 0 if case % 30 == 1 else rng.randint(1, min(space, 300))
+        if budget >= space:
+            budget = search.DEFAULT_BUDGET
+        predicate = rng.choice(predicates)
+        jobs = 2 if case % 10 == 3 else 1
+        reduced = enumerate_colorings(host, r, predicate, budget=budget, jobs=jobs)
+        assert reduced == enumerate_colorings(host, r, Plain(predicate), budget=budget), (case, format_graph(host))
 
 
 # -- certificate-first predicates ------------------------------------------------
