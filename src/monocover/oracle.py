@@ -227,8 +227,10 @@ def two_piece_cover(G: ColoredGraph, bounds) -> tuple[tuple[int, int, int], ...]
     First each color is tested for spanning V within the largest entry.
     Failing that, with at least two entries b1 <= b2 (the two largest), each
     star in color order, then vertex order, is tried within b1 with the rest
-    within b2, else within b2 with the rest within b1. A star that fits spans
-    less than V, or its color would have spanned it, so the rest is nonempty.
+    within b2, else within b2 with the rest within b1. A star has diameter at
+    most 2 through its center, so with b1 >= 2 it fits b1 untested. A star
+    that fits spans less than V, or its color would have spanned it, so the
+    rest is nonempty.
     Each piece's bound is the entry it fits. Masks, not a certificate, are
     returned: the search predicates only count the pieces, and building
     frozensets for every coloring cost about 8% of a search-exhaustive
@@ -250,7 +252,7 @@ def two_piece_cover(G: ColoredGraph, bounds) -> tuple[tuple[int, int, int], ...]
     for c, rows in rows_by_color:
         for v in range(G.n):
             star = rows[v] | 1 << v
-            if _mask_diam_le(rows, star, b1):
+            if b1 >= 2 or _mask_diam_le(rows, star, b1):
                 star_bound, rest_bound = b1, b2
             elif _mask_diam_le(rows, star, b2):
                 star_bound, rest_bound = b2, b1

@@ -13,11 +13,12 @@ a predicate, exhaustive mode decides each orbit of Aut(host) x S_r once: it
 evaluates only the least canonical string of the orbit (its lowest ordinal)
 and credits the verdict to every orbit member inside the decided ordinal
 range. Counts, histograms and witnesses equal those of evaluating every
-ordinal (isomorph rejection, McKay, J. Algorithms 1998). A permutation that
-moves a string below itself by reading only a prefix rules out every string
-with that prefix, so the walk jumps past them. The sorted group is read as a
-prefix tree: the permutations that share a prefix compare alike from there,
-so one comparison settles the whole block.
+ordinal (isomorph rejection, McKay, J. Algorithms 1998). The least strings
+come from orderly generation (Read, Ann. Discrete Math. 1978): strings are
+extended position by position, and the sorted group, held as a prefix tree,
+is compared with each prefix as soon as its digits are set, so a prefix that
+some permutation maps below itself is cut with every string extending it,
+and one comparison settles all the permutations that share a prefix.
 
 The predicates are certificate-first: `oracle.two_piece_cover` looks for a
 spanning color, then a closed monochromatic star plus the rest, and only a
@@ -29,6 +30,7 @@ predicate-call counts are those of the oracle alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -103,17 +105,6 @@ def _rgs_rank(digits: list[int], ways: list[list[int]]) -> int:
     return ordinal
 
 
-def _rgs_next(digits: list[int], r: int) -> bool:
-    """Advance to the lexicographically next canonical string, in place: raise
-    the last digit that is below r - 1 and not the first of its color."""
-    for i in range(len(digits) - 1, 0, -1):
-        if digits[i] < r - 1 and digits.index(digits[i]) < i:
-            digits[i] += 1
-            digits[i + 1 :] = [0] * (len(digits) - i - 1)
-            return True
-    return False
-
-
 def _canonicalize(raw: list[int]) -> list[int]:
     relabel: dict[int, int] = {}
     out = []
@@ -137,7 +128,7 @@ def apply_coloring(host: ColoredGraph, colors: tuple[int, ...], r: int | None = 
 
 # -- host symmetry -------------------------------------------------------------
 
-_AUTOMORPHISM_CAP = 40320  # 8!; the orbit test may still read the whole list
+_AUTOMORPHISM_CAP = 40320  # 8!; the trie and the walk's waiting nodes grow with the group
 
 
 def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
@@ -200,71 +191,119 @@ def _extend(v: int, used: int, fixed: int, adj, degree, lower: int, img: list[in
     return True
 
 
-def _common_prefixes(perms) -> list[int]:
-    """lcp[j]: the length of the common prefix of perms[j-1] and perms[j]
-    (0 for j = 0), which makes the sorted list a prefix tree."""
-    return [0] + [next(i for i, (a, b) in enumerate(zip(p, q)) if a != b) for p, q in zip(perms, perms[1:])]
+def _trie(perms, lo: int, hi: int, depth: int) -> tuple:
+    """The sorted perms[lo:hi], which share their first `depth` positions,
+    as a prefix tree: one node per value at position `depth`, each a tuple
+    (p, b, kids, size). Its `size` elements share p[:b] and its `kids`, the
+    nodes of the same shape at depth b, part there; a single element keeps
+    the rest of its positions (b = m, no kids). A module-level recursion, so
+    that it leaves no reference cycle behind."""
+    nodes = []
+    while lo < hi:
+        p, z = perms[lo], lo + 1
+        while z < hi and perms[z][depth] == p[depth]:
+            z += 1
+        q = perms[z - 1]
+        b = next((i for i in range(depth, len(p)) if p[i] != q[i]), len(p))
+        nodes.append((p, b, _trie(perms, lo, z, b) if z - lo > 1 else (), z - lo))
+        lo = z
+    return tuple(nodes)
 
 
-def _orbit_weight(digits: list[int], perms, r: int, limit: tuple[int, ...] | None, lcp) -> tuple[int, int]:
-    """Orbit test of the canonical string `digits` under the sorted edge
-    permutations `perms` (with the identity, a group; `lcp` from
-    _common_prefixes) and color relabeling.
+def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int, limit):
+    """Yield (s, w) for each canonical string s with first <= s < end (to the
+    last string when end is None) that is the least of its orbit under the
+    group whose non-identity elements `trie` holds (`_trie` of the sorted
+    edge permutations, () for no group) and color relabeling, in order; w
+    counts the orbit strings below `limit` (all when None). Each orbit
+    string is the image of as many group elements as fix s, so w is the
+    number of images below limit over that of images equal to s.
 
-    For the least string of its orbit, returns (w, 0): w counts the orbit
-    strings below `limit` (all when None). Each orbit string is the image
-    of as many group elements as fix `digits`, so w is a quotient. Any
-    other string gives (0, k): a permutation moves it below itself reading
-    only its first k digits, so no string sharing them is least either.
-
-    Each element's scan resumes after the prefix it shares with the one
-    read before it. Where an image parts from its target at position i,
-    the following elements that share p[:i+1] part alike, decided with it."""
-    # digits < limit, first apart at `split`. An image that agrees with
-    # digits through split is below limit; one that agrees with limit
-    # through split is compared with limit from then on (`target`)
-    split = -1 if limit is None else next(i for i, d in enumerate(digits) if d != limit[i])
-    stabilizer = below = 1
-    m, count = len(digits), len(perms)
-    relabel = [-1] * r  # digit -> its label in the image read so far
-    at = [0] * r  # the position where each label was given
-    fresh = j = 0
-    target = digits
-    while j < count:
-        # keep what was read of the prefix shared with p, the element read last
-        start = lcp[j]
-        while fresh and at[fresh - 1] >= start:
-            fresh -= 1
-            relabel[digits[p[at[fresh]]]] = -1
-        if start <= split:
-            target = digits
-        p = perms[j]
-        for i in range(start, m):
-            d = digits[p[i]]
-            c = relabel[d]
-            if c < 0:
-                c = relabel[d] = fresh
-                at[fresh] = i
-                fresh += 1
-            if c != target[i]:
-                if i != split or c != limit[i]:
-                    break
-                target = limit
-        else:
-            if target is digits:
-                stabilizer += 1
-                below += 1
-            j += 1
+    Orderly generation, depth first over positions: a trie node at position
+    i waits in bucket p[i] until s[p[i]] is set (s[i] then is too, since a
+    node that has compared positions 0..L maps them onto themselves), then
+    compares the label of s[p[i]], given by first occurrence along the
+    image, with s[i]. Above s, it is dropped with its subtree; below, the
+    prefix is pruned, since no string extending it is least; equal, it goes
+    on to i + 1 or its kids. Backtracking undoes pushes in LIFO order. An
+    image above s counts towards w if it parts after s parts from limit
+    (`split`); parting at split, it is compared with limit from there."""
+    m = len(first)
+    s = [0] * m
+    top = [0] * (m + 1)  # top[i]: colors in s[:i], the label of a new digit at i
+    ltop = None if limit is None else [0, *itertools.accumulate((d + 1 for d in limit), max)]
+    tight = [end is not None] * (m + 1)  # s[:i] == end[:i]
+    sp = [m] * (m + 1)  # where s[:i] first parts from limit, m if nowhere
+    cnt = [0] * (m + 1)  # images below limit found through each level
+    mark = [0] * m
+    bucket = [[] for _ in range(m)]
+    log = []  # the bucket of each push, in order
+    total = 1 + sum(node[3] for node in trie)
+    for node in trie:
+        bucket[0].append((node, 0, (-1,) * r, s, top))
+    L = v = stab = 0
+    while True:
+        if L == m or v == r or v > (end[L] if tight[L] else top[L]):
+            if L == m:
+                if tight[m]:
+                    return
+                yield tuple(s), (total if limit is None else 1 + stab + cnt[m]) // (1 + stab)
+            L -= 1
+            if L < 0:
+                return
+            while len(log) > mark[L]:
+                bucket[log.pop()].pop()
+            v, first = s[L] + 1, None
             continue
-        if target is digits and c < digits[i]:
-            return 0, max(p[: i + 1]) + 1
-        k = j + 1
-        while k < count and lcp[k] > i:
-            k += 1
-        if (target is digits and i > split) or c < limit[i]:
-            below += k - j
-        j = k
-    return below // stabilizer, 0
+        s[L] = v
+        top[L + 1] = top[L] if v < top[L] else v + 1
+        tight[L + 1] = tight[L] and v == end[L]
+        if limit is not None:
+            sp[L + 1] = L if sp[L] == m and v != limit[L] else sp[L]
+        split, mark[L], below, stab, pruned = sp[L + 1], len(log), cnt[L], 0, False
+        todo = bucket[L][:]
+        while todo and not pruned:
+            node, i, rel, t, tt = todo.pop()
+            p, b, kids, size = node
+            while True:  # along the node's positions while both digits are set
+                w = p[i]
+                if w > L:
+                    bucket[w].append((node, i, rel, t, tt))
+                    log.append(w)
+                    break
+                d = s[w]
+                c = rel[d]
+                if c < 0:
+                    c = tt[i]
+                    rel = rel[:d] + (c,) + rel[d + 1 :]
+                if c != t[i]:
+                    if c > t[i]:
+                        if t is s and i > split:
+                            below += size
+                        elif t is s and i == split:
+                            todo.append((node, i, rel, limit, ltop))
+                    elif t is s:
+                        pruned = True
+                    else:
+                        below += size
+                    break
+                i += 1
+                if i == b:  # go on with the first kid, the others after
+                    if not kids:
+                        stab += t is s
+                        break
+                    for nd in kids[1:]:
+                        todo.append((nd, i, rel, t, tt))
+                    node = kids[0]
+                    p, b, kids, size = node
+        if not pruned:
+            cnt[L + 1] = below
+            L += 1
+            v = first[L] if first is not None and L < m else 0
+            continue
+        while len(log) > mark[L]:
+            bucket[log.pop()].pop()
+        v, first = v + 1, None
 
 
 # -- predicates ---------------------------------------------------------------
@@ -444,15 +483,15 @@ def format_report(report: SearchReport) -> str:
 
 # -- the search engine ---------------------------------------------------------
 
-def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect, sample_seed, ways, perms, lcp, limit):
+def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect, sample_seed, ways, trie, limit):
     """Decide the coloring ordinals lo..hi-1 of a search whose state
     enumerate_colorings builds and passes, bound once, to pool workers.
-    With host symmetries (`perms`), only the least string of each orbit is
-    evaluated, weighted by its orbit members below `limit`, and a run of
-    strings whose common prefix already rules them out is skipped in one
-    step; a string is ranked only to name it. A predicate fault other than
-    LimitExceeded comes back as a RuntimeError that names the coloring
-    (message only, so it pickles from a worker)."""
+    Exhaustive mode evaluates the strings `_least_strings` yields from the
+    path of ordinal lo up to that of hi, each weighted by its orbit members
+    below `limit` (every string, weight 1, with no group); a string is
+    ranked only to name it. A predicate fault other than LimitExceeded comes
+    back as a RuntimeError that names the coloring (message only, so it
+    pickles from a worker)."""
     lo, hi = span
     exhaustive = mode == "exhaustive"
     m = len(pairs)
@@ -460,46 +499,31 @@ def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect,
     hist: Counter = Counter()
     best = None  # (badness, ordinal, colors)
     if exhaustive:
-        digits = _rgs_unrank(lo, m, r, ways)
         end = _rgs_unrank(hi, m, r, ways) if hi < count_canonical(m, r) else None
-    ordinal = lo  # sample mode's index; exhaustive mode ranks digits when needed
-    while True:
-        if not exhaustive:
-            rng = random.Random(sample_seed * (1 << 32) + ordinal)
-            digits = _canonicalize([rng.randrange(r) for _ in range(m)])
-        weight, keep = _orbit_weight(digits, perms, r, limit, lcp) if perms else (1, 0)
-        if weight:
-            calls += 1
-            colors = tuple(d + 1 for d in digits)
-            G = ColoredGraph(n, r, dict(zip(pairs, colors)))
-            try:
-                passed, badness = predicate.evaluate(G)
-            except LimitExceeded:
-                raise
-            except Exception as exc:
-                where = _rgs_rank(digits, ways) if exhaustive else ordinal
-                shown = ",".join(map(str, colors))
-                raise RuntimeError(f"coloring ordinal {where}, colors {shown}: {type(exc).__name__}: {exc}") from exc
-            if passed:
-                ok += weight
-            else:
-                fail += weight
-            if collect:
-                hist[badness] += weight
-            if best is None or badness > best[0]:
-                best = (badness, _rgs_rank(digits, ways) if exhaustive else ordinal, colors)
-        if exhaustive:
-            # the next string not sharing digits[:keep] (all of it, once decided)
-            head = digits[: keep or m]
-            if not _rgs_next(head, r):
-                break
-            digits = head + [0] * (m - len(head))
-            if end is not None and digits >= end:
-                break
+        strings = _least_strings(_rgs_unrank(lo, m, r, ways), end, trie, r, limit)
+    else:
+        rngs = (random.Random(sample_seed * (1 << 32) + ordinal) for ordinal in range(lo, hi))
+        strings = ((_canonicalize([rng.randrange(r) for _ in range(m)]), 1) for rng in rngs)
+    for ordinal, (digits, weight) in enumerate(strings, lo):  # ordinal: sample mode's index
+        calls += 1
+        colors = tuple(d + 1 for d in digits)
+        G = ColoredGraph(n, r, dict(zip(pairs, colors)))
+        try:
+            passed, badness = predicate.evaluate(G)
+        except LimitExceeded:
+            raise
+        except Exception as exc:
+            where = _rgs_rank(digits, ways) if exhaustive else ordinal
+            shown = ",".join(map(str, colors))
+            raise RuntimeError(f"coloring ordinal {where}, colors {shown}: {type(exc).__name__}: {exc}") from exc
+        if passed:
+            ok += weight
         else:
-            ordinal += 1
-            if ordinal == hi:
-                break
+            fail += weight
+        if collect:
+            hist[badness] += weight
+        if best is None or badness > best[0]:
+            best = (badness, _rgs_rank(digits, ways) if exhaustive else ordinal, colors)
     return ok, fail, best, hist, calls
 
 
@@ -573,8 +597,7 @@ def enumerate_colorings(
         collect=collect,
         sample_seed=seed,
         ways=ways,
-        perms=perms,
-        lcp=_common_prefixes(perms),
+        trie=_trie(perms, 0, len(perms), 0),
         limit=tuple(_rgs_unrank(evaluated, m, r, ways)) if reduce and evaluated < scope else None,
     )
     if evaluated == 0:

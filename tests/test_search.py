@@ -1,4 +1,3 @@
-import bisect
 import io
 import itertools
 import math
@@ -23,8 +22,7 @@ from monocover.search import (
     format_report,
     min_cover_distribution,
 )
-from monocover.search import _common_prefixes, _edge_automorphisms, _orbit_weight
-from monocover.search import _rgs_next, _rgs_rank, _rgs_unrank, _rgs_ways
+from monocover.search import _edge_automorphisms, _least_strings, _rgs_rank, _rgs_unrank, _rgs_ways, _trie
 
 
 def complete_host(n):
@@ -57,14 +55,11 @@ def test_count_canonical_values():
 
 
 def test_unrank_and_successor_agree():
-    for m, r in ((3, 2), (5, 2), (4, 3), (3, 4)):
+    for m, r in ((0, 2), (3, 2), (5, 2), (4, 3), (3, 4)):
         ways = _rgs_ways(m, r)
         ref = brute_canonical(m, r)
-        digits = _rgs_unrank(0, m, r, ways)
-        walked = [tuple(digits)]
-        while _rgs_next(digits, r):
-            walked.append(tuple(digits))
-        assert walked == ref
+        # with no group, the walk yields every string, in order, weight 1
+        assert list(_least_strings(_rgs_unrank(0, m, r, ways), None, (), r, None)) == [(s, 1) for s in ref]
         for i, want in enumerate(ref):
             assert tuple(_rgs_unrank(i, m, r, ways)) == want
             assert _rgs_rank(list(want), ways) == i
@@ -431,20 +426,18 @@ def test_orbit_reduction_equals_plain(host_name, r, predicate, runs):
 def test_budget_ends_inside_an_orbit():
     # the coloring at ordinal 1001 of the 7-antihole is not the least of its
     # orbit, so ORBIT_CASES' budget 1001 splits that orbit across the limit
-    host = gen_antihole(3)
-    m = len(host.edge_color)
-    digits = _rgs_unrank(1001, m, 2, _rgs_ways(m, 2))
-    perms = _edge_automorphisms(host)
-    assert _orbit_weight(digits, perms, 2, None, _common_prefixes(perms))[0] == 0
+    strings, orbit_of = orbit_table(gen_antihole(3), 2)
+    assert min(orbit_of[strings[1001]]) < strings[1001]
 
 
 def orbit_table(host, r):
     """Every canonical string of the host's r-colorings, and for each the
     set of canonical strings in its orbit, by brute force over all vertex
-    permutations (no _edge_automorphisms, no _orbit_weight)."""
+    permutations (no _edge_automorphisms, no _least_strings)."""
     m = len(host.edge_color)
     group = brute_edge_automorphisms(host) + [tuple(range(m))]
-    strings = brute_canonical(m, r)
+    ways = _rgs_ways(m, r)
+    strings = [tuple(_rgs_unrank(i, m, r, ways)) for i in range(count_canonical(m, r))]
     orbit_of = {}
     for s in strings:
         if s not in orbit_of:
@@ -453,7 +446,7 @@ def orbit_table(host, r):
     return strings, orbit_of
 
 
-def test_orbit_weight_matches_brute_force():
+def test_least_strings_match_brute_force():
     rng = random.Random(19)
     isolated_edges = build_graph(7, 2, [(0, 1, 1), (2, 3, 1), (4, 5, 1), (4, 6, 1), (5, 6, 1)])
     hosts = [(gen_antihole(2), 2), (complete_host(4), 2), (complete_host(4), 3), (complete_host(5), 3)]
@@ -464,44 +457,143 @@ def test_orbit_weight_matches_brute_force():
             hosts.append((host, r))
     for host, r in hosts:
         perms = _edge_automorphisms(host)
-        lcp = _common_prefixes(perms)
+        trie = _trie(perms, 0, len(perms), 0)
         strings, orbit_of = orbit_table(host, r)
-        least_before = list(itertools.accumulate((min(orbit_of[s]) == s for s in strings), initial=0))
         limits = [None] + [rng.choice(strings[1:]) for _ in range(3) if len(strings) > 1]
         for limit in limits:
-            for s in strings if limit is None else strings[: strings.index(limit)]:
-                w, keep = _orbit_weight(list(s), perms, r, limit, lcp)
-                if min(orbit_of[s]) == s:
-                    assert keep == 0 and w == sum(limit is None or t < limit for t in orbit_of[s]), (s, limit)
-                    continue
-                # every string that shares s[:keep] is not least
-                assert w == 0 and 1 <= keep <= len(s), (s, limit)
-                first = bisect.bisect_left(strings, s[:keep])
-                past = bisect.bisect_left(strings, s[: keep - 1] + (s[keep - 1] + 1,))
-                assert least_before[past] == least_before[first], (s, keep, format_graph(host))
+            # the whole range below the limit, then 3 random chunks of it
+            bound = len(strings) if limit is None else strings.index(limit)
+            spans = [(0, bound)] + [sorted(rng.sample(range(bound + 1), 2)) for _ in range(3) if bound > 1]
+            for lo, hi in spans:
+                end = strings[hi] if hi < len(strings) else None
+                want = [
+                    (s, sum(limit is None or t < limit for t in orbit_of[s]))
+                    for s in strings[lo:hi]
+                    if min(orbit_of[s]) == s
+                ]
+                got = list(_least_strings(strings[lo], end, trie, r, limit))
+                assert got == want, (lo, hi, limit, format_graph(host))
 
 
-def test_orbit_walk_visits_the_same_strings(monkeypatch):
-    # calls to _orbit_weight in serial runs: one per string the walk lands
-    # on, least or not; a change to the walk that skips more or less shows
-    calls = []
-    counted = search._orbit_weight
+class CountedPerm(tuple):
+    """A permutation that counts the reads of its positions."""
 
-    def counting(*args):
-        calls.append(args[0])
-        return counted(*args)
+    reads = 0
 
-    monkeypatch.setattr(search, "_orbit_weight", counting)
-    for host, r, predicate, budget, want in (
-        (gen_antihole(3), 2, HasBoundsCover((3, 3)), search.DEFAULT_BUDGET, 2102),
-        (complete_host(6), 2, MinCoverDistribution(2), search.DEFAULT_BUDGET, 326),
-        (complete_host(5), 3, MinCoverDistribution(1), search.DEFAULT_BUDGET, 590),
-        (gen_antihole(3), 2, HasBoundsCover((2, 2)), 1001, 939),
-        (complete_host(7), 2, MinCoverDistribution(2), 5000, 321),
+    def __getitem__(self, i):
+        CountedPerm.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_orbit_walk_comparisons_are_pinned():
+    # least strings and reads of the trie's permutations in the walks of five
+    # serial searches: one read per comparison of a node with the string and
+    # one per node sent to wait for a later position. A change to the walk
+    # that prunes more or less shows.
+    for host, r, budget, want in (
+        (gen_antihole(3), 2, search.DEFAULT_BUDGET, (650, 14723)),
+        (complete_host(6), 2, search.DEFAULT_BUDGET, (78, 49355)),
+        (complete_host(5), 3, search.DEFAULT_BUDGET, (142, 14979)),
+        (gen_antihole(3), 2, 1001, (402, 10057)),
+        (complete_host(7), 2, 5000, (137, 331737)),
     ):
-        calls.clear()
-        enumerate_colorings(host, r, predicate, budget=budget)
-        assert len(calls) == want, predicate.name
+        m = len(host.edge_color)
+        limit = _rgs_unrank(budget, m, r, _rgs_ways(m, r)) if budget < count_canonical(m, r) else None
+        perms = [CountedPerm(p) for p in _edge_automorphisms(host)]
+        trie = _trie(perms, 0, len(perms), 0)
+        CountedPerm.reads = 0
+        least = sum(1 for _ in _least_strings([0] * m, limit, trie, r, limit))
+        assert (least, CountedPerm.reads) == want, (m, r, budget)
+
+
+class Trivial:
+    """Passes every coloring; invariant, so the search walks one string per orbit."""
+
+    name = "trivial"
+    invariant = True
+
+    def evaluate(self, G):
+        return True, 0
+
+
+def burnside_orbits(host, r):
+    """Orbits of Aut(host) x S_r on the r^m colorings: the mean over (g, tau)
+    of the colorings they fix, the product over the cycles C of g of the
+    colors x with tau^|C|(x) = x."""
+    m = len(host.edge_color)
+    group = brute_edge_automorphisms(host) + [tuple(range(m))]
+    taus = list(itertools.permutations(range(r)))
+    fixed = 0
+    for g in group:
+        cycles, seen = [], set()
+        for i in range(m):
+            length = 0
+            while i not in seen:
+                seen.add(i)
+                i, length = g[i], length + 1
+            if length:
+                cycles.append(length)
+        for tau in taus:
+            fixed += math.prod(sum(power(tau, x, k) == x for x in range(r)) for k in cycles)
+    assert fixed % (len(group) * len(taus)) == 0
+    return fixed // (len(group) * len(taus))
+
+
+def power(tau, x, k):
+    """tau^k(x)."""
+    for _ in range(k):
+        x = tau[x]
+    return x
+
+
+def test_orbit_counts_match_burnside():
+    k8_minus_an_edge = build_graph(8, 2, [(u, v, 1) for u in range(8) for v in range(u + 1, 8) if (u, v) != (0, 1)])
+    for host, r, orbits in (
+        (complete_host(6), 2, 78),
+        (complete_host(7), 2, 522),
+        (gen_matching_complement(8), 2, 24607),
+        (k8_minus_an_edge, 2, 62560),
+        (complete_host(5), 3, 142),
+    ):
+        assert burnside_orbits(host, r) == orbits
+        report = enumerate_colorings(host, r, Trivial())
+        assert report.evaluations == orbits and report.ok_count == report.space, (host.n, r)
+
+
+def test_chunks_partition_the_walk(monkeypatch):
+    # any partition of the decided range into chunks, each starting and
+    # stopping mid-walk, merges to the result of one chunk
+    jobs = []
+    chunk = search._eval_chunk
+
+    def capture(span, **job):
+        jobs.append(job)
+        return chunk(span, **job)
+
+    monkeypatch.setattr(search, "_eval_chunk", capture)
+    rng = random.Random(2020)
+    predicates = list(itertools.chain.from_iterable(INVARIANT_INSTANCES.values()))
+    cut_orbits = 0
+    for case in range(40):
+        host = random_host(rng, rng.randint(4, 6))
+        r = rng.choice((2, 3))
+        space = count_canonical(len(host.edge_color), r)
+        budget = rng.randint(2, min(space, 400)) if space > 1 else search.DEFAULT_BUDGET
+        predicate = rng.choice(predicates)
+        if case % 8 == 5:
+            predicate = Plain(predicate)
+        jobs.clear()
+        report = enumerate_colorings(host, r, predicate, budget=budget)
+        total = report.total
+        whole = chunk((0, total), **jobs[0])
+        cuts = sorted(rng.sample(range(1, total), min(total - 1, rng.randint(1, 6))))
+        parts = [chunk(span, **jobs[0]) for span in zip([0, *cuts], [*cuts, total])]
+        assert search._merge(parts) == whole, (case, format_graph(host))
+        limit = jobs[0]["limit"]
+        if limit is not None:  # the budget cuts an orbit when limit is not its least string
+            group = brute_edge_automorphisms(host)
+            cut_orbits += any(tuple(search._canonicalize([limit[q] for q in p])) < limit for p in group)
+    assert cut_orbits >= 10
 
 
 def test_orbit_reduction_equals_plain_on_random_hosts():
