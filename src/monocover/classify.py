@@ -12,9 +12,9 @@ larger diameter:
               star.
   BOTH_TWO    both diameters equal 2; no structural witness.
 
-The witnesses power the constructive covers. In every pattern the color of
-smaller diameter (color 1 on ties) spans with diameter at most 3, so that
-color is picked from the two diameters alone.
+The covers use only `_bases_within` and `_spanning_mono_within`, not the
+witnesses. In every pattern the color of smaller diameter (color 1 on ties)
+spans with diameter at most 3, so it is picked from the two diameters alone.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 bounded diameter.
 
 Every cover operation returns a CoverCertificate built by _certificate, the
-single check: each component's diameter is measured once, there, and becomes
-its bound; a component over the construction's limit or a vertex left
-uncovered raises ProofAssertionError naming the branch, since that can only
-mean a bug here. The build log records which branch fired and which
-color/role swaps were applied, and the case analyses check the other
-proof-guaranteed properties they rely on the same way.
+single check: each component's diameter is measured there (a spanning clique
+also twice before, to pick its color) and becomes its bound; a component over
+the construction's limit or a vertex left uncovered raises ProofAssertionError
+naming the branch, since that can only mean a bug here. The build log records
+which branch fired and which color/role swaps were applied, and the case
+analyses check the other proof-guaranteed properties they rely on the same way.
 
 Counts are certified by what the construction exhibits, not by a second
 exact computation: cover_general checks its floor(3*alpha/2) count against
@@ -517,8 +517,8 @@ def cover_general(G: ColoredGraph) -> CoverCertificate:
     components and adds the pair to the residual's set, which avoids both
     closed neighborhoods. The exact independence number is computed only in
     the labels branch, where no such pair is left; its maximum independent
-    set is that branch's I. Each component is measured once, by the branch
-    that builds it.
+    set is that branch's I. Each component's bound is measured by the
+    branch that builds it.
     """
     _require_r2(G, "cover_general")
     cert, iset = _cover_general_inner(G)
@@ -705,6 +705,8 @@ def cover_via_cliques(G: ColoredGraph, max_n: int = CLIQUES_MAX_N) -> CoverCerti
     """Exact minimum clique partition, then one small-diameter spanning color
     per clique; the component count equals the clique cover number."""
     _require_r2(G, "cover_via_cliques")
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     if G.n > max_n:
         raise LimitExceeded(f"n={G.n} exceeds the clique-partition limit {max_n}")
     if G.n == 0:

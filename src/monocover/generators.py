@@ -112,8 +112,6 @@ def gen_substitution(
     for i, (s, g) in enumerate(zip(sizes, inner)):
         if s != g.n:
             raise ValueError(f"sizes[{i}]={s} does not match inner graph order {g.n}")
-        if s < 0:
-            raise ValueError(f"sizes[{i}] must be >= 0")
     offsets = []
     total = 0
     for s in sizes:

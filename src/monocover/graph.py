@@ -55,16 +55,12 @@ class ColoredGraph:
         self.r = r
         self.edge_color = edge_color
         color_rows = [[0] * n for _ in range(r)]
-        adj = [0] * n
         for (u, v), c in edge_color.items():
-            bu, bv = 1 << u, 1 << v
             rows = color_rows[c - 1]
-            rows[u] |= bv
-            rows[v] |= bu
-            adj[u] |= bv
-            adj[v] |= bu
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.color_rows = color_rows
-        self.adj_rows = adj
+        self.adj_rows = list(map(sum, zip(*color_rows)))  # one color per pair: the sum is the union
         self.full_mask = (1 << n) - 1
 
     # -- basic queries -------------------------------------------------

@@ -47,11 +47,13 @@ MAX_SEARCH_NODES = 2_000_000
 
 def _check_bounds(G: ColoredGraph, bounds, max_n: int) -> None:
     """Refuses what every oracle entry point refuses: no bounds, a negative
-    bound (the least is named), or a graph above the size limit."""
+    bound (the least is named), a negative size limit, or a graph above it."""
     if not bounds:
         raise ValueError("bounds list must not be empty")
     if min(bounds) < 0:
         raise ValueError(f"diameter bound must be >= 0, got {min(bounds)}")
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     if G.n > max_n:
         raise LimitExceeded(f"n={G.n} exceeds the oracle size limit {max_n}")
 

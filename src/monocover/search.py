@@ -138,18 +138,20 @@ def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
     isolated edge maps only to a lower end, so the vertex maps are exactly
     the edge permutations. When the group has more than _AUTOMORPHISM_CAP of
     them, this is the pointwise stabilizer of the fewest leading vertices
-    0..t-1 that fits; every subgroup keeps orbit-reduced reports exact."""
+    that fits; every subgroup keeps orbit-reduced reports exact."""
     n = host.n
     adj = host.adj_rows
     degree = [row.bit_count() for row in adj]
     # lower ends of isolated edges: degree 1, with a higher neighbor of degree 1
     lower = mask_of(v for v in range(n) if degree[v] == 1 and adj[v] >> v and degree[adj[v].bit_length() - 1] == 1)
 
-    fixed = 0
     maps: list[tuple[int, ...]] = []
-    while not _extend(0, 0, fixed, adj, degree, lower, [0] * n, maps):
-        maps.clear()
-        fixed += 1
+    if not _extend(0, 0, adj, degree, lower, [0] * n, maps):
+        # The maps come in lexicographic order, the identity first, so all cap
+        # + 1 fix 0..t-1, t the first vertex the last one moves: that stabilizer
+        # is over the cap, and all its maps that also fix t came before the last.
+        t = next(v for v in range(n) if maps[-1][v] != v)
+        maps = [s for s in maps if s[t] == t]
     pairs = sorted(host.edge_color)
     position = [[0] * n for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
@@ -158,20 +160,20 @@ def _edge_automorphisms(host: ColoredGraph) -> list[tuple[int, ...]]:
     return sorted(tuple(position[s[u]][s[v]] for u, v in pairs) for s in maps)[1:]
 
 
-def _extend(v: int, used: int, fixed: int, adj, degree, lower: int, img: list[int], found: list) -> bool:
+def _extend(v: int, used: int, adj, degree, lower: int, img: list[int], found: list) -> bool:
     """One node of the backtracking over vertices in order that lists the
-    vertex automorphisms fixing 0..fixed-1 and every isolated vertex: maps v
-    and the vertices after it, given the images `used` so far, and appends
-    each complete map to `found`; False once there are more than
-    _AUTOMORPHISM_CAP. A module-level function, so that the recursion leaves
-    no reference cycle behind."""
+    vertex automorphisms fixing every isolated vertex, in lexicographic order
+    of (img[0], img[1], ...): maps v and the vertices after it, given the
+    images `used` so far, and appends each complete map to `found`; False
+    once it holds more than _AUTOMORPHISM_CAP. A module-level function, so
+    that the recursion leaves no reference cycle behind."""
     n = len(adj)
     if v == n:
         found.append(tuple(img))
         return len(found) <= _AUTOMORPHISM_CAP
-    if v < fixed or not adj[v]:
+    if not adj[v]:
         img[v] = v
-        return _extend(v + 1, used | 1 << v, fixed, adj, degree, lower, img, found)
+        return _extend(v + 1, used | 1 << v, adj, degree, lower, img, found)
     want = 0  # images of v's neighbours mapped so far
     back = adj[v] & ((1 << v) - 1)
     while back:
@@ -186,7 +188,7 @@ def _extend(v: int, used: int, fixed: int, adj, degree, lower: int, img: list[in
             and lower >> w & 1 == lower >> v & 1
         ):
             img[v] = w
-            if not _extend(v + 1, used | 1 << w, fixed, adj, degree, lower, img, found):
+            if not _extend(v + 1, used | 1 << w, adj, degree, lower, img, found):
                 return False
     return True
 
@@ -227,18 +229,18 @@ def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int,
     prefix is pruned, since no string extending it is least; equal, it goes
     on to i + 1 or its kids. Backtracking undoes pushes in LIFO order. An
     image above s counts towards w if it parts after s parts from limit
-    (`split`); parting at split, it is compared with limit from there."""
+    (`split`); parting at split, it is compared with limit from there. With
+    no limit, split is -1: every image above s counts."""
     m = len(first)
     s = [0] * m
     top = [0] * (m + 1)  # top[i]: colors in s[:i], the label of a new digit at i
     ltop = None if limit is None else [0, *itertools.accumulate((d + 1 for d in limit), max)]
     tight = [end is not None] * (m + 1)  # s[:i] == end[:i]
-    sp = [m] * (m + 1)  # where s[:i] first parts from limit, m if nowhere
+    sp = [-1 if limit is None else m] * (m + 1)  # where s[:i] first parts from limit, m if nowhere
     cnt = [0] * (m + 1)  # images below limit found through each level
     mark = [0] * m
     bucket = [[] for _ in range(m)]
     log = []  # the bucket of each push, in order
-    total = 1 + sum(node[3] for node in trie)
     for node in trie:
         bucket[0].append((node, 0, (-1,) * r, s, top))
     L = v = stab = 0
@@ -247,7 +249,7 @@ def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int,
             if L == m:
                 if tight[m]:
                     return
-                yield tuple(s), (total if limit is None else 1 + stab + cnt[m]) // (1 + stab)
+                yield tuple(s), (1 + stab + cnt[m]) // (1 + stab)
             L -= 1
             if L < 0:
                 return
@@ -258,8 +260,7 @@ def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int,
         s[L] = v
         top[L + 1] = top[L] if v < top[L] else v + 1
         tight[L + 1] = tight[L] and v == end[L]
-        if limit is not None:
-            sp[L + 1] = L if sp[L] == m and v != limit[L] else sp[L]
+        sp[L + 1] = L if sp[L] == m and v != limit[L] else sp[L]
         split, mark[L], below, stab, pruned = sp[L + 1], len(log), cnt[L], 0, False
         todo = bucket[L][:]
         while todo and not pruned:
@@ -608,7 +609,7 @@ def enumerate_colorings(
         chunks = min(evaluated, jobs * 4)
         step = -(-evaluated // chunks)
         spans = [(lo, min(lo + step, evaluated)) for lo in range(0, evaluated, step)]
-        with get_context("fork").Pool(jobs) as pool:
+        with get_context("fork").Pool(min(jobs, len(spans))) as pool:
             results = pool.map(partial(_eval_chunk, **job), spans)
     ok, fail, best, hist, calls = _merge(results)
     return SearchReport(

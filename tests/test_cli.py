@@ -254,6 +254,18 @@ def test_oracle_bounds_exit_codes(capsys, monkeypatch):
     assert "no cover" in err
 
 
+def test_negative_max_n_is_a_usage_error(capsys, monkeypatch):
+    text = format_graph(gen_p42(1))
+    for argv, shown in (
+        (["oracle", "--min-cover", "2", "--max-n", "-1"], -1),
+        (["oracle", "--bounds", "2,2", "--max-n", "-1"], -1),
+        (["cover", "--method", "cliques", "--max-n", "-3"], -3),
+    ):
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin_text=text)
+        assert code == 2 and out == ""
+        assert err == f"error: max_n must be >= 0, got {shown}\n"
+
+
 def test_oracle_node_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SEARCH_NODES", 3)
     code, out, err = invoke(capsys, monkeypatch, ["oracle", "--min-cover", "1"], stdin_text=format_graph(gen_p42(2)))

@@ -635,6 +635,8 @@ def test_cover_via_cliques_limit():
     with pytest.raises(LimitExceeded):
         cover_via_cliques(big)
     assert len(cover_via_cliques(big, max_n=25)) == 25
+    with pytest.raises(ValueError, match="max_n must be >= 0, got -3"):
+        cover_via_cliques(build_graph(4, 2, []), max_n=-3)
 
 
 def test_clique_partition_has_a_node_budget(monkeypatch):

@@ -144,6 +144,8 @@ def test_gen_substitution_deleting_vertices():
         gen_substitution(base, [1, 1, 1], [complete_block(1)] * 3)
     with pytest.raises(ValueError):
         gen_substitution(base, [2, 1, 1, 1], [complete_block(1)] * 4)
+    with pytest.raises(ValueError, match=r"sizes\[1\]=-1 does not match inner graph order 0"):
+        gen_substitution(base, [1, -1, 1, 1], [complete_block(s) for s in (1, 0, 1, 1)])
 
 
 def test_gen_random_alpha2_contract():

@@ -72,6 +72,19 @@ def test_build_graph_rejects_bad_input():
             build_graph(n, r, [])
 
 
+def test_adjacency_is_the_union_of_the_color_rows():
+    rng = random.Random(11)
+    graphs = [build_graph(0, 1, []), build_graph(1, 3, [])]
+    for r in (1, 2, 3):
+        graphs += [rand_colored(rng.randint(2, 12), rng.random(), seed=rng.randrange(10**6), r=r) for _ in range(20)]
+    for G in graphs:
+        adj = [0] * G.n
+        for u, v in G.edge_color:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        assert G.adj_rows == adj
+
+
 def test_unreachable_ordering():
     assert UNREACHABLE > 5
     assert not (UNREACHABLE <= 5)

@@ -1,7 +1,7 @@
 """Every name a monocover module imports is used in that module, every
-top-level private function or class is used elsewhere in the package, no
-nested function calls itself, and every function the benchmark tracer wraps
-exists."""
+top-level private function or class is used elsewhere in the package, every
+parameter of a package function is read, no nested function calls itself,
+and every function the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -55,6 +55,33 @@ def dead_private(sources: dict[str, str]) -> list[str]:
             if not any(name in used for j, used in enumerate(used_by) if j != i):
                 dead.append(f"{module}: {name}")
     return dead
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters, other than self and cls, that their function's body never
+    reads. Storing to a parameter is not a read, nor is passing it on in its
+    own place to a call of the function itself: a parameter read only that
+    way is a leftover every caller still passes for nothing."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+        params = positional + [p.arg for p in (*a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+        passed_on = set()  # the Name nodes handed back to fn in their own place
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == fn.name:
+                passed_on |= {id(x) for x, p in zip(call.args, positional) if isinstance(x, ast.Name) and x.id == p}
+                passed_on |= {id(k.value) for k in call.keywords if isinstance(k.value, ast.Name) and k.value.id == k.arg}
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in passed_on
+        }
+        found += [f"line {fn.lineno}: {fn.name}({p})" for p in params if p not in ("self", "cls") and p not in read]
+    return found
 
 
 def recursive_closures(source: str) -> list[str]:
@@ -128,6 +155,46 @@ def test_dead_private_check_catches_one():
     b = "from .a import _used\n_used()\n"
     assert dead_private({"a.py": a, "b.py": b}) == ["a.py: _dead", "a.py: _Gone"]
     assert dead_private({"a.py": a, "c.py": "import a\na._dead\na._Gone()\n"}) == ["a.py: _used"]
+
+
+def test_every_parameter_is_read():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        unread = unread_parameters(path.read_text())
+        if unread:
+            found[path.name] = unread
+    assert not found, found
+
+
+def test_unread_parameter_check_catches_one():
+    source = (
+        "def walk(v, fixed, seen):\n"
+        "    if v:\n"
+        "        return walk(v - 1, fixed, seen | 1)\n"
+        "    return seen\n"
+        "\n"
+        "def swap(a, b):\n"
+        "    return swap(b, a) if a else b\n"
+        "\n"
+        "def again(x, *, k):\n"
+        "    x = 0\n"
+        "    return again(x=x, k=k + 1)\n"
+        "\n"
+        "class C:\n"
+        "    def method(self, used, unused, *args, key=None, **rest):\n"
+        "        return lambda: (used, args)\n"
+        "\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        pass\n"
+    )
+    assert unread_parameters(source) == [
+        "line 1: walk(fixed)",
+        "line 9: again(x)",
+        "line 14: method(unused)",
+        "line 14: method(key)",
+        "line 14: method(rest)",
+    ]
 
 
 def test_no_recursive_closures():

@@ -249,6 +249,15 @@ def test_oracle_size_limit():
     assert min_cover_exact(big, 2, max_n=19)[0] == 19
 
 
+def test_negative_size_limit_is_refused():
+    G = gen_p42(1)
+    for call in (min_cover_exact, maximal_candidates):
+        with pytest.raises(ValueError, match="max_n must be >= 0, got -1"):
+            call(G, 2, max_n=-1)
+    with pytest.raises(ValueError, match="max_n must be >= 0, got -2"):
+        exists_bounds_cover(G, [2, 2], max_n=-2)
+
+
 def all_two_colored(n):
     """Every 2-colored graph on n vertices: each pair absent, color 1 or color 2."""
     pairs = list(itertools.combinations(range(n), 2))

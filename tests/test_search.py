@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -128,6 +129,32 @@ def test_chunks_through_a_spawn_pool_match_serial(monkeypatch):
     assert h1 == h2 and pooled == serial and pooled.jobs == 3
     assert pooled == enumerate_colorings(host, 2, Plain(MinCoverDistribution(2)))
     assert pooled.group_order == 120 and pooled.evaluations == serial.evaluations < pooled.total
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    started = []
+
+    class InProcess:  # records each pool's worker count and maps in this process
+        def Pool(self, workers):
+            started.append(workers)
+            return self
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            return list(map(fn, spans))
+
+    monkeypatch.setattr(search, "get_context", lambda _method: InProcess())
+    two = build_graph(3, 2, [(0, 1, 1), (1, 2, 1)])  # 2 canonical colorings, 2 chunks
+    for host, jobs in ((two, 8), (complete_host(5), 3)):
+        for predicate in (HasBoundsCover((2, 2)), MinCoverDistribution(2)):
+            serial = enumerate_colorings(host, 2, predicate, jobs=1)
+            assert enumerate_colorings(host, 2, predicate, jobs=jobs) == serial
+    assert started == [2, 2, 3, 3]
 
 
 class FailsOnOneColoring:
@@ -336,15 +363,53 @@ def test_edge_automorphism_group_orders():
         matching = build_graph(n, 2, [(2 * i, 2 * i + 1, 1) for i in range(n // 2)])
         assert len(_edge_automorphisms(matching)) + 1 == order
 
-    # K9 has 9! automorphisms: the search keeps the stabilizer of vertex 0
-    group = set(_edge_automorphisms(complete_host(9)))
-    group.add(tuple(range(36)))
-    assert len(group) == 40320
-    rng = random.Random(9)
+
+# Over-cap hosts and the SHA-256 of their sorted listings, one comma-joined
+# permutation a line: the pointwise stabilizer of the fewest leading vertices
+# whose order is within the cap
+OVER_CAP_GROUPS = {
+    "K9": (complete_host(9), "de1d50940beb93be1a4328542f510d3dcd69d47cd1750cacf22cb84c7fd0bc13"),
+    "K10": (complete_host(10), "0ecbfa13c197d747d7f677d8d3ac78ce4e9104b39fdf8711ef3c3c2cb8bdd023"),
+    "K10 minus (0,1)": (
+        build_graph(10, 2, [(u, v, 1) for u in range(10) for v in range(u + 1, 10) if (u, v) != (0, 1)]),
+        "16b4b92658afdf58bca091b8e1f91c373f52fef0733e97b86943f75260f79f68",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVER_CAP_GROUPS)
+def test_over_cap_groups_are_pointwise_stabilizers(name):
+    # K9 keeps the stabilizer of vertex 0 (t = 0), K10 that of 0 and 1 (t = 1)
+    # and K10 minus (0,1) that of vertex 0, which fixes 1 too: 8! each
+    host, digest = OVER_CAP_GROUPS[name]
+    perms = _edge_automorphisms(host)
+    assert len(perms) + 1 == 40320
+    text = "\n".join(",".join(map(str, p)) for p in perms)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if name == "K10":
+        assert all(p[0] == 0 for p in perms)  # edge (0,1) is position 0
+    group = set(perms) | {tuple(range(len(host.edge_color)))}
+    rng = random.Random(10)
     elements = sorted(group)
     for _ in range(500):
         p, q = rng.choice(elements), rng.choice(elements)
         assert tuple(p[i] for i in q) in group
+
+
+def test_group_is_listed_in_one_pass(monkeypatch):
+    # the backtracking starts from vertex 0 once, also when the group passes the cap
+    entered = []
+    extend = search._extend
+
+    def counted(v, *rest):
+        entered.append(v)
+        return extend(v, *rest)
+
+    monkeypatch.setattr(search, "_extend", counted)
+    for host in (complete_host(9), complete_host(10), gen_antihole(3), complete_host(0)):
+        entered.clear()
+        _edge_automorphisms(host)
+        assert entered.count(0) == 1
 
 
 INVARIANT_INSTANCES = {
