@@ -14,7 +14,8 @@ larger diameter:
 
 The covers use only `_bases_within` and `_spanning_mono_within`, not the
 witnesses. In every pattern the color of smaller diameter (color 1 on ties)
-spans with diameter at most 3, so it is picked from the two diameters alone.
+spans with diameter at most 3, so it is picked from the two diameters alone,
+and the pick is returned as a cover component bounded by its diameter.
 """
 
 from __future__ import annotations
@@ -121,7 +122,13 @@ def _far_pair(rows: list[int], mask: int) -> tuple[int, int]:
     raise AssertionError("no pair at distance > 3 despite diameter > 3")
 
 
-def _classify_within(G: ColoredGraph, mask: int) -> ClassifierVerdict:
+def classify_complete(G: ColoredGraph) -> ClassifierVerdict:
+    """Classify a 2-colored complete graph on >= 2 vertices by its color
+    diameters, with a constructive witness for each pattern."""
+    _require_two_colored_complete(G, "classify_complete")
+    if G.n < 2:
+        raise ValueError("classification needs at least 2 vertices")
+    mask = G.full_mask
     d1 = _mask_diameter(G.color_rows[0], mask)
     d2 = _mask_diameter(G.color_rows[1], mask)
     role_swap = d2 > d1
@@ -165,25 +172,17 @@ def _classify_within(G: ColoredGraph, mask: int) -> ClassifierVerdict:
     return ClassifierVerdict(DiamPattern.BOTH_TWO, role_swap, (d1, d2))
 
 
-def classify_complete(G: ColoredGraph) -> ClassifierVerdict:
-    """Classify a 2-colored complete graph on >= 2 vertices by its color
-    diameters, with a constructive witness for each pattern."""
-    _require_two_colored_complete(G, "classify_complete")
-    if G.n < 2:
-        raise ValueError("classification needs at least 2 vertices")
-    return _classify_within(G, G.full_mask)
-
-
-def _spanning_mono_within(G: ColoredGraph, mask: int) -> tuple[int, int]:
-    """(color, achieved diameter <= 3) of a spanning monochromatic subgraph
-    of the complete graph induced on `mask`: the color of smaller diameter,
-    color 1 on ties. This is the color each classifier pattern spans with."""
+def _spanning_mono_within(G: ColoredGraph, mask: int) -> CoverComponent:
+    """A spanning monochromatic subgraph of the complete graph induced on
+    `mask`, as a cover component on the mask's vertices: the color of
+    smaller diameter, color 1 on ties, bounded by that diameter (at most 3).
+    This is the color each classifier pattern spans with."""
     d1 = _mask_diameter(G.color_rows[0], mask)
     d2 = _mask_diameter(G.color_rows[1], mask)
     color, achieved = (2, d2) if d2 < d1 else (1, d1)
     if achieved > 3:  # an unreachable diameter compares above every int
         raise AssertionError("spanning color exceeded diameter 3")
-    return color, achieved
+    return CoverComponent(color, vertex_set(mask), achieved)
 
 
 def spanning_mono_small_diameter(G: ColoredGraph) -> CoverComponent:
@@ -196,8 +195,7 @@ def spanning_mono_small_diameter(G: ColoredGraph) -> CoverComponent:
     _require_two_colored_complete(G, "spanning_mono_small_diameter")
     if G.n < 1:
         raise ValueError("spanning subgraph of the empty graph is undefined")
-    color, achieved = _spanning_mono_within(G, G.full_mask)
-    return CoverComponent(color, frozenset(G.vertices()), achieved)
+    return _spanning_mono_within(G, G.full_mask)
 
 
 def check_house_membership(G: ColoredGraph, dec: HouseDecomposition) -> bool:

@@ -2,12 +2,12 @@
 bounded diameter.
 
 Every cover operation returns a CoverCertificate built by _certificate, the
-single check: each component's diameter is measured there (a spanning clique
-also twice before, to pick its color) and becomes its bound; a component over
-the construction's limit or a vertex left uncovered raises ProofAssertionError
-naming the branch, since that can only mean a bug here. The build log records
-which branch fired and which color/role swaps were applied, and the case
-analyses check the other proof-guaranteed properties they rely on the same way.
+single check: each fixed-color piece is measured there and its diameter
+becomes its bound, while a spanning clique comes as a component measured
+where its color was picked; one over its limit or an uncovered vertex raises
+ProofAssertionError naming the branch, since that can only mean a bug here.
+The build log records which branch fired and which color/role swaps were
+applied; the case analyses check the other proof properties the same way.
 
 Counts are certified by what the construction exhibits, not by a second
 exact computation: cover_general checks its floor(3*alpha/2) count against
@@ -18,8 +18,8 @@ and in cover_stars (cover_alpha2 computes it only to report bad input).
 
 Vertex sets pass between the stages here as bit masks (bit v set for vertex
 v): the parts of a PairPartition, the cliques of a NearSplitStructure and
-every piece handed to _certificate. Only the certificate's components hold
-frozensets.
+every (color, mask, limit) piece handed to _certificate. Only cover
+components hold frozensets.
 """
 
 from __future__ import annotations
@@ -70,34 +70,37 @@ def _require_r2(G: ColoredGraph, op: str) -> None:
         raise ValueError(f"{op} requires r=2, got {G.r}")
 
 
-def _certificate(G, pieces, log, branch, residual=()) -> CoverCertificate:
-    """The certificate of (color, vertex mask, proof limit) pieces, followed
-    by the `residual` components, which were checked where they were built.
+def _certificate(G, pieces, log, branch) -> CoverCertificate:
+    """The certificate of the pieces, in their order. A (color, vertex mask,
+    proof limit) triple is measured here once and its diameter becomes its
+    bound; empty triples are dropped. A CoverComponent was measured where it
+    was built, so it is taken as it is.
 
-    Each nonempty piece is measured once and its diameter becomes its bound;
-    empty pieces are dropped. Raises ProofAssertionError naming the branch
-    if a piece is disconnected or over its limit, or if the pieces and the
-    residual leave a vertex of G uncovered.
+    Raises ProofAssertionError naming the branch if a triple is disconnected
+    or over its limit, or if the pieces leave a vertex of G uncovered.
     """
     comps = []
     covered = 0
-    for color, m, limit in pieces:
-        if not m:
-            continue
-        d = _mask_diameter(G.color_rows[color - 1], m)
-        if d > limit:
-            raise ProofAssertionError(
-                branch,
-                f"color-{color} component {sorted(vertex_set(m))} has diameter {d}, limit {limit}",
-            )
-        comps.append(CoverComponent(color, vertex_set(m), d))
+    for piece in pieces:
+        if isinstance(piece, CoverComponent):
+            m = piece.mask()
+        else:
+            color, m, limit = piece
+            if not m:
+                continue
+            d = _mask_diameter(G.color_rows[color - 1], m)
+            if d > limit:
+                raise ProofAssertionError(
+                    branch,
+                    f"color-{color} component {sorted(vertex_set(m))} has diameter {d}, limit {limit}",
+                )
+            piece = CoverComponent(color, vertex_set(m), d)
+        comps.append(piece)
         covered |= m
-    for comp in residual:
-        covered |= comp.mask()
     if covered != G.full_mask:
         missing = sorted(vertex_set(G.full_mask & ~covered))
         raise ProofAssertionError(branch, f"pieces miss vertices {missing}")
-    return CoverCertificate((*comps, *residual), tuple(log))
+    return CoverCertificate(comps, tuple(log))
 
 
 # -- pair partition --------------------------------------------------------
@@ -314,17 +317,16 @@ def _split_across(rows: list[int], s: int, a: int, b: int) -> tuple[int | None, 
     return None, mask_of(z for z in bits(s) if rows[z] & a)
 
 
-def _non_neighbor_clique(G: ColoredGraph, z: int, within: int, branch: str) -> list[tuple[int, int, int]]:
+def _non_neighbor_clique(G: ColoredGraph, z: int, within: int, branch: str) -> list:
     """The pieces for the non-neighbors of z in `within`: none if z has no
-    non-neighbor there, else one spanning piece of diameter at most 3 on
-    them, which independence number 2 makes a clique."""
+    non-neighbor there, else the measured spanning component of diameter at
+    most 3 on them, which independence number 2 makes a clique."""
     rest = within & ~G.adj_rows[z]
     if not rest:
         return []
     if _first_non_edge(G, rest) is not None:
         raise ProofAssertionError(branch, f"non-neighbors of {z} do not form a clique")
-    zc, _zd = _spanning_mono_within(G, rest)
-    return [(zc, rest, 3)]
+    return [_spanning_mono_within(G, rest)]
 
 
 # -- near-split structures --------------------------------------------------
@@ -454,8 +456,7 @@ def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate
             f"center's edges to base ({x1},{x2}) avoid color {ce}: five-cycle closes the "
             f"color-{3 - ce} double star instead"
         )
-    oc, _od = _spanning_mono_within(G, o_m)
-    pieces = [(use, t_m | (1 << s.v), 3), (oc, o_m, 3)]
+    pieces = [(use, t_m | (1 << s.v), 3), _spanning_mono_within(G, o_m)]
     return _certificate(G, pieces, log, "double-star-clique")
 
 
@@ -537,9 +538,9 @@ def _cover_general_inner(G: ColoredGraph) -> tuple[CoverCertificate, int]:
         return CoverCertificate((), ("empty graph: nothing to cover",)), 0
     comp = G.complement_rows()
     if not any(comp):
-        c, _d = _spanning_mono_within(G, G.full_mask)
-        log = [f"complete graph: spanning color-{c} subgraph"]
-        return _certificate(G, [(c, G.full_mask, 3)], log, "complete"), 1
+        span = _spanning_mono_within(G, G.full_mask)
+        log = [f"complete graph: spanning color-{span.color} subgraph"]
+        return _certificate(G, [span], log, "complete"), 1
     if _complement_triangle(comp) is None:
         u = next(v for v, row in enumerate(comp) if row)
         return cover_alpha2(G), (1 << u) | (comp[u] & -comp[u])
@@ -581,18 +582,17 @@ def _cover_general_peel(G, x, y, c, witness) -> tuple[CoverCertificate, int]:
         f"one joint component plus opposite stars, then recurse on the rest"
     ]
     rest = G.full_mask & ~neighborhood
-    residual = []
     iset = (1 << x) | (1 << y)
     if rest:
         sub, labels = induced_subgraph(G, vertex_set(rest))
         sub_cert, sub_iset = _cover_general_inner(sub)
         iset |= mask_of(labels[i] for i in bits(sub_iset))
-        residual = [
+        pieces.extend(
             CoverComponent(comp.color, frozenset(labels[i] for i in comp.vertices), comp.bound)
             for comp in sub_cert.components
-        ]
+        )
         log.extend("residual: " + entry for entry in sub_cert.build_log)
-    return _certificate(G, pieces, log, branch, residual), iset
+    return _certificate(G, pieces, log, branch), iset
 
 
 def _cover_general_labels(G, iset) -> CoverCertificate:
@@ -622,9 +622,8 @@ def _cover_general_labels(G, iset) -> CoverCertificate:
         su = one_label[u] | (1 << u)
         if _first_non_edge(G, su) is not None:
             raise ProofAssertionError(branch, f"one-label class of {u} is not a clique")
-        c, _d = _spanning_mono_within(G, su)
         comp_mask[u] = su
-        comp_color[u] = c
+        comp_color[u] = _spanning_mono_within(G, su).color  # su grows, so it is measured later
 
     red_centers = [u for u in centers if comp_color[u] == 1]
     blue_centers = [u for u in centers if comp_color[u] == 2]
@@ -694,10 +693,9 @@ def _two_clique_certificate(G: ColoredGraph, split, log: list[str]) -> CoverCert
     for side in split:
         if not side:
             continue
-        m = mask_of(side)
-        c, _d = _spanning_mono_within(G, m)
-        pieces.append((c, m, 3))
-        log.append(f"clique {sorted(side)} in color {c}")
+        span = _spanning_mono_within(G, mask_of(side))
+        pieces.append(span)
+        log.append(f"clique {sorted(side)} in color {span.color}")
     return _certificate(G, pieces, log, "two-cliques")
 
 
@@ -712,10 +710,7 @@ def cover_via_cliques(G: ColoredGraph, max_n: int = CLIQUES_MAX_N) -> CoverCerti
     if G.n == 0:
         return CoverCertificate((), ("empty graph",))
     classes = _exact_clique_partition(G)
-    pieces = []
-    for m in classes:
-        c, _d = _spanning_mono_within(G, m)
-        pieces.append((c, m, 3))
+    pieces = [_spanning_mono_within(G, m) for m in classes]
     return _certificate(G, pieces, [f"minimum clique partition of size {len(classes)}"], "clique-partition")
 
 

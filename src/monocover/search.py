@@ -69,8 +69,9 @@ def _rgs_ways(m: int, r: int) -> list[list[int]]:
 
 def count_canonical(m: int, r: int) -> int:
     """Number of canonical colorings of m edge slots with up to r colors."""
-    if m == 0:
-        return 1
+    _require_nonnegative("count_canonical", m=m, r=r)
+    if m == 0 or r == 0:
+        return int(m == 0)  # the empty string, or no color for a slot
     return _rgs_ways(m, r)[1][0]
 
 
@@ -310,11 +311,11 @@ def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int,
 # -- predicates ---------------------------------------------------------------
 
 
-def _require_nonnegative(predicate: str, **values: int) -> None:
-    """Refuses a negative argument, naming the predicate and the argument."""
+def _require_nonnegative(op: str, **values: int) -> None:
+    """Refuses a negative argument, naming the operation and the argument."""
     for name, value in values.items():
         if value < 0:
-            raise ValueError(f"{predicate}: {name} must be >= 0, got {value}")
+            raise ValueError(f"{op}: {name} must be >= 0, got {value}")
 
 
 def _min_cover_size(G: ColoredGraph, d: int) -> int:

@@ -6,7 +6,6 @@ import pytest
 from conftest import complete_colored, spanning_color
 from monocover.classify import (
     DiamPattern,
-    _classify_within,
     _spanning_mono_within,
     check_house_membership,
     classify_complete,
@@ -14,7 +13,7 @@ from monocover.classify import (
     spanning_mono_small_diameter,
 )
 from monocover.generators import gen_p42, house_skeleton
-from monocover.graph import UNREACHABLE, build_graph, mono_diameter, verify_cover
+from monocover.graph import UNREACHABLE, build_graph, induced_subgraph, mono_diameter, vertex_set, verify_cover
 from monocover.graph import CoverCertificate
 
 
@@ -183,11 +182,19 @@ def classifier_color(verdict):
     return 1
 
 
+def spanning_pick(G, mask):
+    """(color, bound) of the component _spanning_mono_within builds on the
+    mask, after checking that it spans exactly the mask."""
+    comp = _spanning_mono_within(G, mask)
+    assert comp.vertices == vertex_set(mask)
+    return comp.color, comp.bound
+
+
 def test_spanning_color_is_the_smaller_diameter():
     for n in range(1, 7):
         for G in all_two_colorings(n):
             expected = spanning_color(G, G.full_mask)
-            assert _spanning_mono_within(G, G.full_mask) == expected
+            assert spanning_pick(G, G.full_mask) == expected
             if n >= 2:
                 assert classifier_color(classify_complete(G)) == expected[0]
     rng = random.Random(4242)
@@ -198,6 +205,7 @@ def test_spanning_color_is_the_smaller_diameter():
             G = build_graph(n, 2, [(u, v, 1 if rng.random() < p else 2) for u, v in pairs])
             mask = rng.getrandbits(n) or 1
             expected = spanning_color(G, mask)
-            assert _spanning_mono_within(G, mask) == expected, (n, mask)
+            assert spanning_pick(G, mask) == expected, (n, mask)
             if mask & (mask - 1):
-                assert classifier_color(_classify_within(G, mask)) == expected[0]
+                sub, _labels = induced_subgraph(G, vertex_set(mask))
+                assert classifier_color(classify_complete(sub)) == expected[0]

@@ -16,7 +16,7 @@ from conftest import (
     two_clique_split,
     unreachable_after,
 )
-from monocover import covers, graph
+from monocover import classify, covers, graph
 from monocover.covers import (
     NearSplitStructure,
     ProofAssertionError,
@@ -31,6 +31,7 @@ from monocover.covers import (
 )
 from monocover.generators import gen_antihole, gen_matching_complement, gen_random_alpha2
 from monocover.graph import (
+    CoverComponent,
     LimitExceeded,
     bits,
     build_graph,
@@ -689,11 +690,17 @@ def test_certificate_rejects_broken_pieces():
             covers._certificate(G, pieces, [], "test-branch")
         assert info.value.branch == "test-branch", name
     with pytest.raises(ProofAssertionError, match="miss vertices \\[4\\]"):
-        covers._certificate(G, [(1, 0b00111, 2)], [], "peel", residual=cert.components[1:2])
+        covers._certificate(G, [(1, 0b00111, 2), cert.components[1]], [], "peel")
+    # a component was measured where it was built: it keeps its place and its
+    # bound (3, above the edge's diameter 1), and it alone covers vertex 3
+    given = CoverComponent(2, {2, 3}, 3)
+    mixed = covers._certificate(G, [(1, 0b00111, 2), given, (1, 0b10000, 0)], [], "mixed")
+    assert mixed.components == (cert.components[0], given, cert.components[2])
 
 
 def _count_measurements(monkeypatch, build, G):
-    """build(G), counting the _mask_diameter calls of graph and covers."""
+    """build(G), counting the _mask_diameter calls of graph, covers and
+    classify."""
     calls = []
     original = graph._mask_diameter
 
@@ -703,20 +710,23 @@ def _count_measurements(monkeypatch, build, G):
 
     monkeypatch.setattr(graph, "_mask_diameter", counted)
     monkeypatch.setattr(covers, "_mask_diameter", counted)
+    monkeypatch.setattr(classify, "_mask_diameter", counted)
     cert = build(G)
     return len(calls), cert
 
 
 def test_each_component_measured_once(monkeypatch):
+    """A fixed-color piece costs one diameter, a spanning clique two: one per
+    color to pick the smaller, and that one is its bound."""
     builds = [
-        (cover_stars, rand_colored(12, 0.4, seed=3)),
-        (two_clique_cover, two_cliques(4, 5, seed=3)),
-        (cover_via_cliques, rand_colored(9, 0.6, seed=3)),
-        (cover_general, build_graph(6, 2, [(u, v, 1 + (u + v) % 2) for u in range(6) for v in range(u + 1, 6)])),
+        (cover_stars, rand_colored(12, 0.4, seed=3), 1),
+        (two_clique_cover, two_cliques(4, 5, seed=3), 2),
+        (cover_via_cliques, rand_colored(9, 0.6, seed=3), 2),
+        (cover_general, build_graph(6, 2, [(u, v, 1 + (u + v) % 2) for u in range(6) for v in range(u + 1, 6)]), 2),
     ]
-    for build, G in builds:
+    for build, G, per_component in builds:
         calls, cert = _count_measurements(monkeypatch, build, G)
-        assert len(cert) >= 1 and calls == len(cert), build.__name__
+        assert len(cert) >= 1 and calls == per_component * len(cert), build.__name__
         assert verify_cover(G, cert)
 
 

@@ -51,8 +51,12 @@ def test_count_canonical_values():
     assert count_canonical(5, 1) == 1
     assert count_canonical(3, 3) == 5  # set-partition count of 3 items
     for m in range(0, 7):
-        for r in (1, 2, 3):
+        for r in (0, 1, 2, 3):
             assert count_canonical(m, r) == len(brute_canonical(m, r))
+    with pytest.raises(ValueError, match="^count_canonical: m must be >= 0, got -1$"):
+        count_canonical(-1, 2)
+    with pytest.raises(ValueError, match="^count_canonical: r must be >= 0, got -2$"):
+        count_canonical(3, -2)
 
 
 def test_unrank_and_successor_agree():
