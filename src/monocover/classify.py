@@ -14,8 +14,9 @@ larger diameter:
 
 The covers use only `_bases_within` and `_spanning_mono_within`, not the
 witnesses. In every pattern the color of smaller diameter (color 1 on ties)
-spans with diameter at most 3, so it is picked from the two diameters alone,
-and the pick is returned as a cover component bounded by its diameter.
+spans with diameter at most 3, so it is picked from the diameters alone,
+color 2's measured only when color 1's exceeds 2, and returned as a cover
+component bounded by its diameter.
 """
 
 from __future__ import annotations
@@ -176,8 +177,12 @@ def _spanning_mono_within(G: ColoredGraph, mask: int) -> CoverComponent:
     """A spanning monochromatic subgraph of the complete graph induced on
     `mask`, as a cover component on the mask's vertices: the color of
     smaller diameter, color 1 on ties, bounded by that diameter (at most 3).
+    Color 2 is measured only when color 1's diameter exceeds 2: to beat a
+    color-1 diameter <= 2 it would need diameter <= 1, hence every edge.
     This is the color each classifier pattern spans with."""
     d1 = _mask_diameter(G.color_rows[0], mask)
+    if d1 <= 2:
+        return CoverComponent(1, vertex_set(mask), d1)
     d2 = _mask_diameter(G.color_rows[1], mask)
     color, achieved = (2, d2) if d2 < d1 else (1, d1)
     if achieved > 3:  # an unreachable diameter compares above every int

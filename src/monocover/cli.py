@@ -39,6 +39,7 @@ from .graph import (
     CoverCertificate,
     LimitExceeded,
     UNREACHABLE,
+    _require_graph_size,
     build_graph,
     format_certificate,
     format_combined,
@@ -103,6 +104,8 @@ def _fmt_set(vertices) -> str:
 def _house_substitution(sizes: list[int], free_color: int) -> ColoredGraph:
     """The house skeleton with vertex i blown up into a color-1 clique on
     sizes[i] vertices."""
+    for n in (*sizes, sum(sizes)):  # every block and the whole, before any edge is listed
+        _require_graph_size(n, 2)
     inner = [build_graph(s, 2, [(u, v, 1) for u in range(s) for v in range(u + 1, s)]) for s in sizes]
     return gen_substitution(house_skeleton(free_color), sizes, inner)
 

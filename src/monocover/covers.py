@@ -3,9 +3,9 @@ bounded diameter.
 
 Every cover operation returns a CoverCertificate built by _certificate, the
 single check: each fixed-color piece is measured there and its diameter
-becomes its bound, while a spanning clique comes as a component measured
-where its color was picked; one over its limit or an uncovered vertex raises
-ProofAssertionError naming the branch, since that can only mean a bug here.
+becomes its bound, while every spanning clique is the component measured
+once, where _spanning_mono_within picked its color; one over its limit or an
+uncovered vertex raises ProofAssertionError naming the branch: a bug here.
 The build log records which branch fired and which color/role swaps were
 applied; the case analyses check the other proof properties the same way.
 
@@ -35,7 +35,6 @@ from .graph import (
     _complement_sides,
     _complement_triangle,
     _first_non_edge,
-    _mask_diam_le,
     _mask_diameter,
     _max_clique,
     bits,
@@ -414,26 +413,20 @@ def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate
     diameter at most 3 each. The structure `s` may come from outside
     detect_near_split, so it is validated first (ValueError if invalid).
 
-    Each clique is spanned by its first color of diameter <= 2, if any. A
-    clique with neither (both colors then have diameter exactly 3) is joined
-    to the center through a base edge of a spanning double star."""
+    Each clique is spanned once, in its color of smaller diameter. One of
+    diameter 3 in both colors is joined to the center through a base edge
+    of a spanning double star; the other clique keeps its span."""
     _require_r2(G, "cover_near_split")
     s.validate(G)
     log: list[str] = [f"near-split center {s.v}, cliques miss {s.v1} and {s.v2}"]
+    span1, span2 = _spanning_mono_within(G, s.k1), _spanning_mono_within(G, s.k2)
+    if span1.bound <= 2 and span2.bound <= 2:
+        return _near_split_small(G, s, span1, span2, log)
 
-    def small_color(clique):
-        """A color of diameter <= 2 on the clique, None for double-three."""
-        return next((c for c in (1, 2) if _mask_diam_le(G.color_rows[c - 1], clique, 2)), None)
-
-    c1 = small_color(s.k1)
-    c2 = small_color(s.k2)
-    if c1 is not None and c2 is not None:
-        return _near_split_small(G, s, c1, c2, log)
-
-    if c1 is None:
-        vt, t_m, o_m = s.v1, s.k1, s.k2
+    if span1.bound > 2:
+        vt, t_m, other = s.v1, s.k1, span2
     else:
-        vt, t_m, o_m = s.v2, s.k2, s.k1
+        vt, t_m, other = s.v2, s.k2, span1
         log.append("double-diameter clique is the second one: roles swapped")
     bases = [_bases_within(G, c, t_m) for c in (1, 2)]
     if not all(bases):
@@ -456,14 +449,13 @@ def cover_near_split(G: ColoredGraph, s: NearSplitStructure) -> CoverCertificate
             f"center's edges to base ({x1},{x2}) avoid color {ce}: five-cycle closes the "
             f"color-{3 - ce} double star instead"
         )
-    pieces = [(use, t_m | (1 << s.v), 3), _spanning_mono_within(G, o_m)]
-    return _certificate(G, pieces, log, "double-star-clique")
+    return _certificate(G, [(use, t_m | (1 << s.v), 3), other], log, "double-star-clique")
 
 
-def _near_split_small(G, s, c1, c2, log):
-    """Both cliques have a color of diameter <= 2 (c1 and c2). Tries the
+def _near_split_small(G, s, span1, span2, log):
+    """Both cliques are spanned with diameter <= 2 (span1, span2). Tries the
     center's edges into each clique, then each missed vertex's edges into its
-    own clique, naming the lowest vertex that fires."""
+    own clique, naming the lowest vertex that fires; the other keeps its span."""
     branch = "small-diameter-cliques"
 
     def emit(pieces, note):
@@ -472,34 +464,33 @@ def _near_split_small(G, s, c1, c2, log):
 
     rows = G.color_rows
     vb = 1 << s.v
-    # each clique as (mask, missed vertex, small color, name), paired with
-    # the other clique, the first clique's pair tried first
-    sides = ((s.k1, s.v1, c1, "first"), (s.k2, s.v2, c2, "second"))
-    mirrored = (sides, sides[::-1])
+    missed = 1 << s.v1 | 1 << s.v2
+    # each clique as (mask, missed vertex, small color, name, the other
+    # clique's span), the first clique tried first
+    sides = ((s.k1, s.v1, span1.color, "first", span2), (s.k2, s.v2, span2.color, "second", span1))
     # v misses v1 and v2, and no vertex neighbors itself, so these rows
     # already leave out the missed vertex of each clique
-    for (k, _w, c, name), (ko, _, co, _) in mirrored:
+    for k, _w, c, name, other in sides:
         if hit := rows[c - 1][s.v] & k:
             note = f"center sends color {c} into the {name} clique at {next(bits(hit))}"
-            return emit([(c, k | vb, 3), (co, ko, 2)], note)
-    for (k, w, c, _), (ko, _, co, _) in mirrored:
+            return emit([(c, k | vb, 3), other], note)
+    for k, w, c, _, other in sides:
         if hit := rows[2 - c][w] & k:  # row of color 3 - c
             note = f"missed vertex {w} sends color {3 - c} into its clique at {next(bits(hit))}"
-            return emit([(3 - c, k | vb, 3), (co, ko, 2)], note)
-    for k, w, c, _ in sides:
+            return emit([(3 - c, k | vb, 3), other], note)
+    for k, w, c, _, _ in sides:
         if k & ~(1 << w) & ~rows[c - 1][w]:
             raise ProofAssertionError(branch, f"expected all ({w},*) edges in color {c}")
     cv = G.color_of(s.v1, s.v2)
-    if c1 == c2:
-        missed = 1 << s.v1 | 1 << s.v2
+    if span1.color == span2.color:
         return emit(
-            [(3 - c1, vb | (s.k1 | s.k2) & ~missed, 2), (cv, missed, 1)],
+            [(3 - span1.color, G.full_mask & ~missed, 2), (cv, missed, 1)],
             f"one star from the center plus the ({s.v1},{s.v2}) edge",
         )
     # the small colors differ, so the missed edge has one clique's
-    (k, _w, c, _), (ko, wo, _, _) = next(pair for pair in mirrored if pair[0][2] == cv)
+    k, _w, c, _, _ = next(side for side in sides if side[2] == cv)
     note = f"missed edge has color {c}: two color-{c} stars"
-    return emit([(c, k | 1 << wo, 2), (c, vb | ko & ~(1 << wo), 2)], note)
+    return emit([(c, k | missed, 2), (c, G.full_mask & ~(k | missed), 2)], note)
 
 
 # -- the general cover ------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import ColoredGraph, build_graph
+from .graph import ColoredGraph, _require_graph_size, build_graph
 
 # the two color classes of the doubly-path-colored K4: each color forms a
 # path with three edges
@@ -21,6 +21,7 @@ def gen_p42(copies: int) -> ColoredGraph:
     3-edge paths. Independence number equals `copies`."""
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
+    _require_graph_size(4 * copies, 2)
     edges = []
     for i in range(copies):
         base = 4 * i
@@ -56,6 +57,7 @@ def gen_antihole(k: int, scheme: str = "distance-split") -> ColoredGraph:
         raise ValueError(f"k must be >= 2, got {k}")
     kind, c = _parse_scheme(scheme)
     n = 2 * k + 1
+    _require_graph_size(n, 2)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -72,6 +74,7 @@ def gen_k7_triple(copies: int) -> ColoredGraph:
     map to colors 1, 2, 3; each class is a spanning 7-cycle."""
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
+    _require_graph_size(7 * copies, 3)
     edges = []
     for i in range(copies):
         base = 7 * i
@@ -90,6 +93,7 @@ def gen_matching_complement(n: int) -> ColoredGraph:
     """
     if n < 4 or n % 2:
         raise ValueError(f"n must be even and >= 4, got {n}")
+    _require_graph_size(n, 2)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -117,6 +121,7 @@ def gen_substitution(
     for s in sizes:
         offsets.append(total)
         total += s
+    _require_graph_size(total, base.r)
     edges = []
     for i, g in enumerate(inner):
         off = offsets[i]
@@ -166,6 +171,7 @@ def gen_random_alpha2(n: int, p: float, seed: int) -> ColoredGraph:
         raise ValueError(f"n must be >= 2 so the complement can miss an edge, got {n}")
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}; p=0 cannot reach independence number 2")
+    _require_graph_size(n, 2)
     rng = random.Random(seed)
     while True:
         rows = [0] * n

@@ -102,18 +102,23 @@ class ColoredGraph:
 MAX_GRAPH_CELLS = 1 << 18
 
 
-def build_graph(n: int, r: int, edges: Iterable[tuple[int, int, int]]) -> ColoredGraph:
-    """Validating constructor: checks sizes, ranges, loops and color conflicts.
-
-    Duplicate identical entries are idempotent; the same pair listed with two
-    different colors is an error.
-    """
+def _require_graph_size(n: int, r: int) -> None:
+    """build_graph's size rule, for a generator to check before it lists any edge."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if r < 1:
         raise ValueError(f"color count must be at least 1, got {r}")
     if (n + 1) * (r + 1) > MAX_GRAPH_CELLS:
         raise ValueError(f"n={n}, r={r} exceeds the graph size limit (n+1)*(r+1) <= {MAX_GRAPH_CELLS}")
+
+
+def build_graph(n: int, r: int, edges: Iterable[tuple[int, int, int]]) -> ColoredGraph:
+    """Validating constructor: checks sizes, ranges, loops and color conflicts.
+
+    Duplicate identical entries are idempotent; the same pair listed with two
+    different colors is an error.
+    """
+    _require_graph_size(n, r)
     edge_color: dict[tuple[int, int], int] = {}
     for u, v, c in edges:
         if not (0 <= u < n and 0 <= v < n):

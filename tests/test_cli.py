@@ -89,6 +89,28 @@ def test_gen_families_match_generators(capsys, monkeypatch):
     assert invoke(capsys, monkeypatch, ["gen", "--family", "mystery"])[0] == 2
 
 
+def test_gen_refuses_an_oversized_graph_at_once(capsys, monkeypatch):
+    """Every family exits 2 with build_graph's size message before it lists
+    an edge, at the smallest size past the limit: the quadratic families
+    would otherwise list billions of edges (or random draws) first."""
+    cases = [
+        (["p42", "--copies", "21846"], 87384, 2),
+        (["antihole", "--k", "43690"], 87381, 2),
+        (["k7triple", "--copies", "9363"], 65541, 3),
+        (["matching-complement", "--n", "87382"], 87382, 2),
+        (["random-alpha2", "--n", "87381"], 87381, 2),
+        (["substitution", "--sizes", "90000,1,1,1,1"], 90000, 2),  # one block is too big
+        (["substitution", "--sizes", "43691,43690,0,0,0"], 87381, 2),  # only the whole is
+    ]
+    for argv, n, r in cases:
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, monkeypatch, ["gen", "--family", *argv])
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 2 and out == "", argv
+        last = err.splitlines()[-1]  # random-alpha2 names its seed first
+        assert last == f"error: n={n}, r={r} exceeds the graph size limit (n+1)*(r+1) <= {graph.MAX_GRAPH_CELLS}"
+
+
 def test_pipeline_gen_cover_verify(capsys, monkeypatch):
     code, graph_text, _ = invoke(capsys, monkeypatch, ["gen", "--family", "antihole", "--k", "3"])
     assert code == 0

@@ -8,7 +8,9 @@ import pytest
 from conftest import (
     complement_bipartite,
     complete_colored,
+    fw_diameter,
     matching_union,
+    mono_edge_pairs,
     near_split_centers,
     pair_partition_reference,
     rand_colored,
@@ -698,36 +700,73 @@ def test_certificate_rejects_broken_pieces():
     assert mixed.components == (cert.components[0], given, cert.components[2])
 
 
-def _count_measurements(monkeypatch, build, G):
-    """build(G), counting the _mask_diameter calls of graph, covers and
-    classify."""
+def _count_measurements(monkeypatch):
+    """Wrap both diameter kernels, _mask_diameter and _mask_diam_le, wherever
+    graph, covers and classify hold them. Returns the list each call appends
+    its (kernel name, mask) to, so its length counts the measurements."""
     calls = []
-    original = graph._mask_diameter
 
-    def counted(rows, mask):
-        calls.append(mask)
-        return original(rows, mask)
+    def recording(name, original):
+        def recorded(rows, mask, *rest):
+            calls.append((name, mask))
+            return original(rows, mask, *rest)
 
-    monkeypatch.setattr(graph, "_mask_diameter", counted)
-    monkeypatch.setattr(covers, "_mask_diameter", counted)
-    monkeypatch.setattr(classify, "_mask_diameter", counted)
-    cert = build(G)
-    return len(calls), cert
+        return recorded
+
+    for name in ("_mask_diameter", "_mask_diam_le"):
+        wrapper = recording(name, getattr(graph, name))
+        for module in (graph, covers, classify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _span_cost(G, vertices) -> int:
+    """The measurements a spanning clique costs: color 1 alone when its
+    Floyd-Warshall diameter is at most 2, else both colors."""
+    verts = sorted(vertices)
+    return 1 if fw_diameter(len(verts), mono_edge_pairs(G, 1, verts)) <= 2 else 2
 
 
 def test_each_component_measured_once(monkeypatch):
-    """A fixed-color piece costs one diameter, a spanning clique two: one per
-    color to pick the smaller, and that one is its bound."""
+    """A fixed-color piece costs one diameter. A spanning clique costs one
+    when its color-1 diameter is at most 2, which settles the pick, and two
+    otherwise: one per color, the smaller being its bound."""
     builds = [
-        (cover_stars, rand_colored(12, 0.4, seed=3), 1),
-        (two_clique_cover, two_cliques(4, 5, seed=3), 2),
-        (cover_via_cliques, rand_colored(9, 0.6, seed=3), 2),
-        (cover_general, build_graph(6, 2, [(u, v, 1 + (u + v) % 2) for u in range(6) for v in range(u + 1, 6)]), 2),
+        (cover_stars, rand_colored(12, 0.4, seed=3), False),
+        (two_clique_cover, two_cliques(4, 5, seed=3), True),
+        (cover_via_cliques, rand_colored(9, 0.6, seed=3), True),
+        (cover_general, build_graph(6, 2, [(u, v, 1 + (u + v) % 2) for u in range(6) for v in range(u + 1, 6)]), True),
     ]
-    for build, G, per_component in builds:
-        calls, cert = _count_measurements(monkeypatch, build, G)
-        assert len(cert) >= 1 and calls == per_component * len(cert), build.__name__
+    calls = _count_measurements(monkeypatch)
+    span_costs = Counter()
+    for build, G, spanning in builds:
+        calls.clear()
+        cert = build(G)
+        measured = len(calls)
+        expected = [_span_cost(G, comp.vertices) if spanning else 1 for comp in cert.components]
+        if spanning:
+            span_costs.update(expected)
+        assert len(cert) >= 1 and measured == sum(expected), build.__name__
         assert verify_cover(G, cert)
+    assert span_costs[1] and span_costs[2]
+
+
+def test_near_split_spans_each_clique_once(monkeypatch):
+    """cover_near_split makes no _mask_diam_le call, and it measures each
+    clique only where it spans it: once when color 1 settles the pick, twice
+    otherwise. The recolored antiholes add cliques of diameter 3 in both
+    colors, whose partner clique's span goes to the certificate as well."""
+    calls = _count_measurements(monkeypatch)
+    antiholes = [G for method, G in _certificate_corpus() if method == "near-split"]
+    for G in itertools.chain(small_near_split_graphs(), antiholes):
+        s = detect_near_split(G)
+        calls.clear()
+        cover_near_split(G, s)
+        assert all(name == "_mask_diameter" for name, _ in calls)
+        masks = Counter(mask for _, mask in calls)
+        for k in (s.k1, s.k2):
+            assert masks[k] == _span_cost(G, bits(k))
 
 
 # -- frozen certificates --------------------------------------------------------

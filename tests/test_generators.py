@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import brute_alpha, fw_diameter, mono_edge_pairs
@@ -146,6 +148,16 @@ def test_gen_substitution_deleting_vertices():
         gen_substitution(base, [2, 1, 1, 1], [complete_block(1)] * 4)
     with pytest.raises(ValueError, match=r"sizes\[1\]=-1 does not match inner graph order 0"):
         gen_substitution(base, [1, -1, 1, 1], [complete_block(s) for s in (1, 0, 1, 1)])
+
+
+def test_gen_substitution_refuses_an_oversized_total_at_once():
+    """Blocks that each fit the graph size limit can sum past it: the error
+    comes before a single cross edge is listed (2.7 billion here)."""
+    block, empty = build_graph(30000, 2, []), build_graph(0, 2, [])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^n=90000, r=2 exceeds the graph size limit"):
+        gen_substitution(house_skeleton(), [30000, 30000, 30000, 0, 0], [block, block, block, empty, empty])
+    assert time.perf_counter() - start < 0.5
 
 
 def test_gen_random_alpha2_contract():
