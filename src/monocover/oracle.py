@@ -45,17 +45,17 @@ DEFAULT_MAX_N = 18
 MAX_SEARCH_NODES = 2_000_000
 
 
-def _check_bounds(G: ColoredGraph, bounds, max_n: int) -> None:
+def _check_bounds(n: int, bounds, max_n: int) -> None:
     """Refuses what every oracle entry point refuses: no bounds, a negative
-    bound (the least is named), a negative size limit, or a graph above it."""
+    bound (the least is named), a negative size limit, or n vertices above it."""
     if not bounds:
         raise ValueError("bounds list must not be empty")
     if min(bounds) < 0:
         raise ValueError(f"diameter bound must be >= 0, got {min(bounds)}")
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    if G.n > max_n:
-        raise LimitExceeded(f"n={G.n} exceeds the oracle size limit {max_n}")
+    if n > max_n:
+        raise LimitExceeded(f"n={n} exceeds the oracle size limit {max_n}")
 
 
 def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, int]]:
@@ -70,7 +70,7 @@ def maximal_candidates(G: ColoredGraph, d: int, max_n: int = DEFAULT_MAX_N) -> l
     lost; any other node tests its clique alone. Qualifying masks are
     scanned by decreasing size and kept unless a kept mask contains them.
     """
-    _check_bounds(G, (d,), max_n)
+    _check_bounds(G.n, (d,), max_n)
     out: list[tuple[int, int]] = []
     for color in range(1, G.r + 1):
         rows = G.color_rows[color - 1]
@@ -205,7 +205,7 @@ def exists_bounds_cover(G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT
     in the order of their entries (an unused entry gets none); their bounds
     record the achieved diameters."""
     bounds = list(bounds)
-    _check_bounds(G, bounds, max_n)
+    _check_bounds(G.n, bounds, max_n)
     fams, through, cover_of = _families(G, bounds, max_n)
     if G.full_mask == 0:
         return CoverCertificate((), ("empty graph: nothing to cover",))
@@ -221,10 +221,21 @@ def exists_bounds_cover(G: ColoredGraph, bounds: list[int], max_n: int = DEFAULT
 
 
 def two_piece_cover(G: ColoredGraph, bounds) -> tuple[tuple[int, int, int], ...] | None:
+    """`two_pieces` on G's color rows."""
+    return two_pieces(G.n, G.color_rows, bounds)
+
+
+def two_pieces(n: int, color_rows, bounds) -> tuple[tuple[int, int, int], ...] | None:
     """A cover with at most one component per entry of `bounds` made of one
     spanning color, or of one closed monochromatic star N_c[v] plus the rest
     of V in some color, as (color, vertex mask, bound) pieces; None when
-    neither exists (a cover may still). The empty graph gives no pieces.
+    neither exists (a cover may still). No vertices give no pieces. The
+    color-c edges on the n vertices are color_rows[c - 1], one adjacency
+    mask per vertex.
+
+    The edges may be a search prefix's: a cover found there covers every
+    completion, since edges added to a color keep each star and only shorten
+    distances within a fixed vertex set.
 
     First each color is tested for spanning V within the largest entry.
     Failing that, with at least two entries b1 <= b2 (the two largest), each
@@ -240,11 +251,11 @@ def two_piece_cover(G: ColoredGraph, bounds) -> tuple[tuple[int, int, int], ...]
     with the same errors.
     """
     bounds = sorted(bounds)
-    _check_bounds(G, bounds, DEFAULT_MAX_N)
-    full = G.full_mask
+    _check_bounds(n, bounds, DEFAULT_MAX_N)
+    full = (1 << n) - 1
     if full == 0:
         return ()
-    rows_by_color = list(enumerate(G.color_rows, 1))
+    rows_by_color = list(enumerate(color_rows, 1))
     for c, rows in rows_by_color:
         if _mask_diam_le(rows, full, bounds[-1]):
             return ((c, full, bounds[-1]),)
@@ -252,7 +263,7 @@ def two_piece_cover(G: ColoredGraph, bounds) -> tuple[tuple[int, int, int], ...]
         return None
     b1, b2 = bounds[-2:]
     for c, rows in rows_by_color:
-        for v in range(G.n):
+        for v in range(n):
             star = rows[v] | 1 << v
             if b1 >= 2 or _mask_diam_le(rows, star, b1):
                 star_bound, rest_bound = b1, b2

@@ -26,6 +26,18 @@ coloring that neither settles reaches the exact oracle. Any such cover
 answers `has-bounds-cover`; asked with bounds (d, d) its component count is
 the exact minimum (see `_min_cover_size`), so verdicts, badness and
 predicate-call counts are those of the oracle alone.
+
+The same certificates settle subtrees of the exhaustive walk. A predicate's
+`settled(n, color_rows)` reads only the edges a prefix has colored and gives
+the verdict every completion shares, or None: any two-piece cover for
+`has-bounds-cover`, a spanning color (minimum 1) for the minimum-cover
+predicates. Coloring more edges breaks neither, so the walk skips a settled
+prefix's subtree as it skips a pruned one. Its strings are counted by
+remainder: a string of any other value has its orbit's least string outside
+every settled subtree, so those counts are exact, and the settled value gets
+the rest. When the settled badness is the worst, the witness is the lower of
+the lowest evaluated string with it and the first settled string decided.
+Predicates without `settled`, and sample mode, evaluate every string counted.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from multiprocessing import get_context
 
 from .covers import cover_general
 from .graph import ColoredGraph, LimitExceeded, build_graph, mask_of
-from .oracle import exists_bounds_cover, min_cover_exact, two_piece_cover
+from .oracle import exists_bounds_cover, min_cover_exact, two_piece_cover, two_pieces
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -96,7 +108,8 @@ def _rgs_unrank(ordinal: int, m: int, r: int, ways: list[list[int]]) -> list[int
 
 
 def _rgs_rank(digits: list[int], ways: list[list[int]]) -> int:
-    """The ordinal of a canonical string; the inverse of _rgs_unrank."""
+    """The ordinal of a canonical string, or of a canonical prefix padded
+    with zeros (ways fixes the length); the inverse of _rgs_unrank."""
     ordinal = 0
     M = 0
     for i in range(1, len(digits)):
@@ -213,7 +226,7 @@ def _trie(perms, lo: int, hi: int, depth: int) -> tuple:
     return tuple(nodes)
 
 
-def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int, limit):
+def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int, limit, n=0, pairs=(), settled=None):
     """Yield (s, w) for each canonical string s with first <= s < end (to the
     last string when end is None) that is the least of its orbit under the
     group whose non-identity elements `trie` holds (`_trie` of the sorted
@@ -231,8 +244,16 @@ def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int,
     on to i + 1 or its kids. Backtracking undoes pushes in LIFO order. An
     image above s counts towards w if it parts after s parts from limit
     (`split`); parting at split, it is compared with limit from there. With
-    no limit, split is -1: every image above s counts."""
+    no limit, split is -1: every image above s counts.
+
+    With `settled`, the walk keeps r color rows over n vertices, edge
+    pairs[i] in row s[i] for each set position i: two bits set when it
+    colors a position, cleared when it leaves it. Each unpruned proper
+    prefix is offered to settled(n, rows); a verdict (not None) holds for
+    every completion of the prefix, which yields (prefix, verdict) and is
+    skipped like a pruned one."""
     m = len(first)
+    rows = [[0] * n for _ in range(r)]
     s = [0] * m
     top = [0] * (m + 1)  # top[i]: colors in s[:i], the label of a new digit at i
     ltop = None if limit is None else [0, *itertools.accumulate((d + 1 for d in limit), max)]
@@ -257,6 +278,10 @@ def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int,
             while len(log) > mark[L]:
                 bucket[log.pop()].pop()
             v, first = s[L] + 1, None
+            if settled is not None:
+                x, y = pairs[L]
+                rows[s[L]][x] ^= 1 << y
+                rows[s[L]][y] ^= 1 << x
             continue
         s[L] = v
         top[L + 1] = top[L] if v < top[L] else v + 1
@@ -298,6 +323,16 @@ def _least_strings(first: list[int], end: list[int] | None, trie: tuple, r: int,
                         todo.append((nd, i, rel, t, tt))
                     node = kids[0]
                     p, b, kids, size = node
+        if not pruned and settled is not None:
+            x, y = pairs[L]
+            row = rows[v]
+            row[x] ^= 1 << y
+            row[y] ^= 1 << x
+            if L + 1 < m and (verdict := settled(n, rows)) is not None:
+                yield tuple(s[: L + 1]), verdict
+                row[x] ^= 1 << y
+                row[y] ^= 1 << x
+                pruned = True  # skipped as a pruned prefix is
         if not pruned:
             cnt[L + 1] = below
             L += 1
@@ -328,18 +363,28 @@ def _min_cover_size(G: ColoredGraph, d: int) -> int:
     return len(pieces) if pieces is not None else min_cover_exact(G, d)[0]
 
 
+def _settled_minimum(n: int, color_rows, d: int) -> int | None:
+    """The minimum on every completion of a prefix whose colored edges are
+    `color_rows` when a color spans V within d (one bound: no star), else None."""
+    pieces = two_pieces(n, color_rows, (d,))
+    return None if pieces is None else len(pieces)
+
+
 @dataclass(frozen=True)
 class HasBoundsCover:
     """Passes iff a cover with the given per-component diameter bounds
     exists; badness 1 on failure. A two-piece certificate settles it before
-    the exact oracle runs."""
+    the exact oracle runs, and settles a search prefix whose colored edges
+    already hold one."""
 
     bounds: tuple[int, ...]
     invariant = True  # not a field: see the module docstring
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", tuple(self.bounds))
-        _require_nonnegative("has-bounds-cover", bound=min(self.bounds, default=0))
+        if not self.bounds:
+            raise ValueError("has-bounds-cover: bounds must not be empty")
+        _require_nonnegative("has-bounds-cover", bound=min(self.bounds))
 
     @property
     def name(self) -> str:
@@ -348,6 +393,10 @@ class HasBoundsCover:
     def evaluate(self, G: ColoredGraph) -> tuple[bool, int]:
         ok = two_piece_cover(G, self.bounds) is not None or exists_bounds_cover(G, self.bounds) is not None
         return ok, 0 if ok else 1
+
+    def settled(self, n: int, color_rows) -> tuple[bool, int] | None:
+        """The verdict every completion shares, or None; see the module docstring."""
+        return None if two_pieces(n, color_rows, self.bounds) is None else (True, 0)
 
 
 @dataclass(frozen=True)
@@ -369,6 +418,10 @@ class MinCoverAtMost:
     def evaluate(self, G: ColoredGraph) -> tuple[bool, int]:
         kmin = _min_cover_size(G, self.d)
         return kmin <= self.k, kmin
+
+    def settled(self, n: int, color_rows) -> tuple[bool, int] | None:
+        kmin = _settled_minimum(n, color_rows, self.d)
+        return None if kmin is None else (kmin <= self.k, kmin)
 
 
 @dataclass(frozen=True)
@@ -414,6 +467,10 @@ class MinCoverDistribution:
     def evaluate(self, G: ColoredGraph) -> tuple[bool, int]:
         return True, _min_cover_size(G, self.d)
 
+    def settled(self, n: int, color_rows) -> tuple[bool, int] | None:
+        kmin = _settled_minimum(n, color_rows, self.d)
+        return None if kmin is None else (True, kmin)
+
 
 # -- reports ------------------------------------------------------------------
 
@@ -428,8 +485,9 @@ class SearchReport:
     decided coloring of maximum badness, lowest ordinal on ties; `witness_colors`
     are 1-based colors along the lexicographic edge order of the host.
     Wall-clock time, worker count, the order of the host symmetry group the
-    search was reduced by (1 when it was not) and the number of predicate
-    calls are informational and excluded from equality.
+    search was reduced by (1 when it was not), the number of predicate calls
+    and the number of settled prefixes are informational and excluded from
+    equality.
     """
 
     host: str
@@ -451,6 +509,7 @@ class SearchReport:
     jobs: int = field(default=1, compare=False)
     group_order: int = field(default=1, compare=False)
     evaluations: int = field(default=0, compare=False)
+    settled: int = field(default=0, compare=False)
 
 
 def format_report(report: SearchReport) -> str:
@@ -458,7 +517,8 @@ def format_report(report: SearchReport) -> str:
         f"search: {report.predicate} over {report.mode} colorings of {report.host} with r={report.r}",
         f"  space {report.space} (symmetry factor {report.symmetry_factor}), "
         f"decided {report.total}, budget {report.budget}, "
-        f"host group order {report.group_order}, {report.evaluations} predicate calls"
+        f"host group order {report.group_order}, {report.evaluations} predicate calls, "
+        f"{report.settled} settled prefixes"
         + (" [partial]" if report.partial else ""),
         f"  outcomes: {report.ok_count} ok, {report.fail_count} fail",
     ]
@@ -491,22 +551,35 @@ def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect,
     Exhaustive mode evaluates the strings `_least_strings` yields from the
     path of ordinal lo up to that of hi, each weighted by its orbit members
     below `limit` (every string, weight 1, with no group); a string is
-    ranked only to name it. A predicate fault other than LimitExceeded comes
+    ranked only to name it. A predicate with a `settled` certificate has its
+    settled subtrees skipped: they are left out of the counts, which
+    enumerate_colorings completes, and the chunk returns their verdict, how
+    many of them start in lo..hi-1, and the chunk's first settled string as
+    a witness candidate. A predicate fault other than LimitExceeded comes
     back as a RuntimeError that names the coloring (message only, so it
     pickles from a worker)."""
     lo, hi = span
     exhaustive = mode == "exhaustive"
     m = len(pairs)
-    ok = fail = calls = 0
+    ok = fail = calls = settled = 0
     hist: Counter = Counter()
-    best = None  # (badness, ordinal, colors)
+    best = verdict = None  # best: (badness, ordinal, colors)
     if exhaustive:
         end = _rgs_unrank(hi, m, r, ways) if hi < count_canonical(m, r) else None
-        strings = _least_strings(_rgs_unrank(lo, m, r, ways), end, trie, r, limit)
+        certificate = getattr(predicate, "settled", None)
+        strings = _least_strings(_rgs_unrank(lo, m, r, ways), end, trie, r, limit, n, pairs, certificate)
     else:
         rngs = (random.Random(sample_seed * (1 << 32) + ordinal) for ordinal in range(lo, hi))
         strings = ((_canonicalize([rng.randrange(r) for _ in range(m)]), 1) for rng in rngs)
     for ordinal, (digits, weight) in enumerate(strings, lo):  # ordinal: sample mode's index
+        if len(digits) < m:  # a settled prefix, and weight its verdict
+            head = _rgs_rank(digits, ways)  # its subtree's first string, digits + zeros
+            settled += lo <= head < hi
+            at = max(lo, head)  # the subtree's lowest string in this chunk, if below hi
+            if at < hi and (best is None or weight[1] > best[0]):
+                best = (weight[1], at, tuple(d + 1 for d in _rgs_unrank(at, m, r, ways)))
+            verdict = weight
+            continue
         calls += 1
         colors = tuple(d + 1 for d in digits)
         G = ColoredGraph(n, r, dict(zip(pairs, colors)))
@@ -526,22 +599,24 @@ def _eval_chunk(span: tuple[int, int], *, n, r, pairs, predicate, mode, collect,
             hist[badness] += weight
         if best is None or badness > best[0]:
             best = (badness, _rgs_rank(digits, ways) if exhaustive else ordinal, colors)
-    return ok, fail, best, hist, calls
+    return ok, fail, best, hist, calls, settled, verdict
 
 
 def _merge(results):
-    ok = fail = calls = 0
+    ok = fail = calls = settled = 0
     hist: Counter = Counter()
-    best = None
-    for c_ok, c_fail, c_best, c_hist, c_calls in results:
+    best = verdict = None
+    for c_ok, c_fail, c_best, c_hist, c_calls, c_settled, c_verdict in results:
         ok += c_ok
         fail += c_fail
         calls += c_calls
+        settled += c_settled
+        verdict = c_verdict or verdict  # a predicate settles with one verdict
         hist.update(c_hist)
         if c_best is not None:
             if best is None or (c_best[0], -c_best[1]) > (best[0], -best[1]):
                 best = c_best
-    return ok, fail, best, hist, calls
+    return ok, fail, best, hist, calls, settled, verdict
 
 
 def enumerate_colorings(
@@ -612,7 +687,17 @@ def enumerate_colorings(
         spans = [(lo, min(lo + step, evaluated)) for lo in range(0, evaluated, step)]
         with get_context("fork").Pool(min(jobs, len(spans))) as pool:
             results = pool.map(partial(_eval_chunk, **job), spans)
-    ok, fail, best, hist, calls = _merge(results)
+    ok, fail, best, hist, calls, settled, verdict = _merge(results)
+    if verdict is not None:  # settled subtrees were skipped: their value takes the remainder
+        passed, badness = verdict
+        if passed:
+            ok = evaluated - fail
+        else:
+            fail = evaluated - ok
+        if collect:
+            hist.pop(badness, None)
+            if rest := evaluated - sum(hist.values()):
+                hist[badness] = rest
     return SearchReport(
         host=f"n={host.n} m={m}",
         r=r,
@@ -633,6 +718,7 @@ def enumerate_colorings(
         jobs=jobs,
         group_order=len(perms) + 1,
         evaluations=calls,
+        settled=settled,
     )
 
 

@@ -333,6 +333,18 @@ def test_search_exit_codes(capsys, monkeypatch):
     assert "histogram = 1:26,2:6" in out
 
 
+def test_search_header_counts_settled_prefixes(capsys, monkeypatch):
+    # every 2-coloring of the 7-antihole has a (3,3)-cover, and the walk's
+    # prefix certificates settle them all before any predicate call
+    argv = ["search", "--colors", "2", "--predicate", "has-bounds-cover:3,3"]
+    code, out, _ = invoke(capsys, monkeypatch, argv, stdin_text=format_graph(gen_antihole(3)))
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "  space 8192 (symmetry factor 2), decided 8192, budget 67108864, "
+        "host group order 14, 0 predicate calls, 71 settled prefixes"
+    )
+
+
 def test_search_colors_are_bounded(capsys, monkeypatch):
     """A color count past search.MAX_COLORS exits 2 before any search, naming
     the bound; the bound itself runs and prints r!."""

@@ -418,7 +418,7 @@ def test_group_is_listed_in_one_pass(monkeypatch):
 
 INVARIANT_INSTANCES = {
     HasBoundsCover: [HasBoundsCover((2, 2)), HasBoundsCover((1, 3)), HasBoundsCover((2, 2, 2))],
-    MinCoverAtMost: [MinCoverAtMost(2, 1), MinCoverAtMost(3, 2)],
+    MinCoverAtMost: [MinCoverAtMost(2, 1), MinCoverAtMost(3, 2), MinCoverAtMost(2, 0)],  # k = 0 settles failing
     MinCoverDistribution: [MinCoverDistribution(1), MinCoverDistribution(2)],
 }
 
@@ -461,6 +461,8 @@ ORBIT_CASES = [
     ("p42", 2, MinCoverAtMost(2, 1), [{}]),
     ("k7", 2, MinCoverDistribution(2), [{"budget": 5000}]),
     ("k9", 2, MinCoverDistribution(2), [{"budget": 5000}]),
+    # every coloring passes, so the witness comes from a settled subtree
+    ("k6", 2, HasBoundsCover((3, 3)), [{"budget": 1001, "jobs": 3}]),
 ]
 ORBIT_HOSTS = {
     "antihole7": lambda: gen_antihole(3),
@@ -656,8 +658,13 @@ def test_chunks_partition_the_walk(monkeypatch):
         total = report.total
         whole = chunk((0, total), **jobs[0])
         cuts = sorted(rng.sample(range(1, total), min(total - 1, rng.randint(1, 6))))
-        parts = [chunk(span, **jobs[0]) for span in zip([0, *cuts], [*cuts, total])]
+        if case % 4 == 0:  # one chunk per ordinal: many hold no least string at all
+            cuts = list(range(1, total))
+        spans = list(zip([0, *cuts], [*cuts, total]))
+        parts = [chunk(span, **jobs[0]) for span in spans]
         assert search._merge(parts) == whole, (case, format_graph(host))
+        for (lo, hi), part in zip(spans, parts):  # each chunk's witness lies in its own span
+            assert part[2] is None or lo <= part[2][1] < hi, (case, lo, hi, part[2])
         limit = jobs[0]["limit"]
         if limit is not None:  # the budget cuts an orbit when limit is not its least string
             group = brute_edge_automorphisms(host)
@@ -685,29 +692,30 @@ def test_orbit_reduction_equals_plain_on_random_hosts():
 # -- certificate-first predicates ------------------------------------------------
 
 # (ok_count, fail_count, worst_badness, witness_ordinal, histogram, evaluations)
-# per host and predicate, as the oracle-only predicates reported them
+# per host and predicate; all but evaluations as the oracle-only predicates
+# reported them
 FROZEN_REPORTS = {
-    ("antihole7", "has-bounds-cover(3,3)"): (8192, 0, 0, 0, None, 650),
-    ("antihole7", "has-bounds-cover(2,2)"): (8184, 8, 1, 3692, None, 650),
-    ("antihole7", "has-bounds-cover(1,2)"): (7232, 960, 1, 1111, None, 650),
-    ("antihole7", "has-bounds-cover(2)"): (449, 7743, 1, 9, None, 650),
+    ("antihole7", "has-bounds-cover(3,3)"): (8192, 0, 0, 0, None, 0),
+    ("antihole7", "has-bounds-cover(2,2)"): (8184, 8, 1, 3692, None, 19),
+    ("antihole7", "has-bounds-cover(1,2)"): (7232, 960, 1, 1111, None, 161),
+    ("antihole7", "has-bounds-cover(2)"): (449, 7743, 1, 9, None, 619),
     ("antihole7", "has-bounds-cover(1,1,1)"): (7099, 1093, 1, 55, None, 650),
     ("antihole7", "min-cover-distribution(d=1)"): (8192, 0, 4, 55, ((3, 7099), (4, 1093)), 650),
-    ("antihole7", "min-cover-distribution(d=2)"): (8192, 0, 3, 3692, ((1, 449), (2, 7735), (3, 8)), 650),
-    ("antihole7", "min-cover-distribution(d=3)"): (8192, 0, 2, 59, ((1, 4615), (2, 3577)), 650),
-    ("antihole7", "min-cover-atmost(d=2,k=1)"): (449, 7743, 3, 3692, None, 650),
-    ("k6", "has-bounds-cover(3,3)"): (16384, 0, 0, 0, None, 78),
-    ("k6", "has-bounds-cover(2,2)"): (16384, 0, 0, 0, None, 78),
-    ("k6", "has-bounds-cover(1,2)"): (16384, 0, 0, 0, None, 78),
-    ("k6", "has-bounds-cover(2)"): (10744, 5640, 1, 1101, None, 78),
-    ("k6", "has-bounds-cover(1,1,1)"): (16384, 0, 0, 0, None, 78),
+    ("antihole7", "min-cover-distribution(d=2)"): (8192, 0, 3, 3692, ((1, 449), (2, 7735), (3, 8)), 619),
+    ("antihole7", "min-cover-distribution(d=3)"): (8192, 0, 2, 59, ((1, 4615), (2, 3577)), 350),
+    ("antihole7", "min-cover-atmost(d=2,k=1)"): (449, 7743, 3, 3692, None, 619),
+    ("k6", "has-bounds-cover(3,3)"): (16384, 0, 0, 0, None, 0),
+    ("k6", "has-bounds-cover(2,2)"): (16384, 0, 0, 0, None, 0),
+    ("k6", "has-bounds-cover(1,2)"): (16384, 0, 0, 0, None, 0),
+    ("k6", "has-bounds-cover(2)"): (10744, 5640, 1, 1101, None, 33),
+    ("k6", "has-bounds-cover(1,1,1)"): (16384, 0, 0, 0, None, 50),
     ("k6", "min-cover-distribution(d=1)"): (16384, 0, 3, 116, ((1, 1), (2, 9081), (3, 7302)), 78),
-    ("k6", "min-cover-distribution(d=2)"): (16384, 0, 2, 1101, ((1, 10744), (2, 5640)), 78),
-    ("k6", "min-cover-distribution(d=3)"): (16384, 0, 1, 0, ((1, 16384),), 78),
-    ("k6", "min-cover-atmost(d=2,k=1)"): (10744, 5640, 2, 1101, None, 78),
-    ("c5", "has-bounds-cover(3,3)"): (16, 0, 0, 0, None, 4),
-    ("c5", "has-bounds-cover(2,2)"): (16, 0, 0, 0, None, 4),
-    ("c5", "has-bounds-cover(1,2)"): (16, 0, 0, 0, None, 4),
+    ("k6", "min-cover-distribution(d=2)"): (16384, 0, 2, 1101, ((1, 10744), (2, 5640)), 33),
+    ("k6", "min-cover-distribution(d=3)"): (16384, 0, 1, 0, ((1, 16384),), 0),
+    ("k6", "min-cover-atmost(d=2,k=1)"): (10744, 5640, 2, 1101, None, 33),
+    ("c5", "has-bounds-cover(3,3)"): (16, 0, 0, 0, None, 0),
+    ("c5", "has-bounds-cover(2,2)"): (16, 0, 0, 0, None, 0),
+    ("c5", "has-bounds-cover(1,2)"): (16, 0, 0, 0, None, 0),
     ("c5", "has-bounds-cover(2)"): (1, 15, 1, 1, None, 4),
     ("c5", "has-bounds-cover(1,1,1)"): (16, 0, 0, 0, None, 4),
     ("c5", "min-cover-distribution(d=1)"): (16, 0, 3, 0, ((3, 16),), 4),
@@ -733,6 +741,7 @@ def test_frozen_search_reports():
 def test_predicate_arguments_are_checked():
     for make, message in (
         (lambda: HasBoundsCover((3, -1)), "has-bounds-cover: bound must be >= 0, got -1"),
+        (lambda: HasBoundsCover(()), "has-bounds-cover: bounds must not be empty"),
         (lambda: MinCoverAtMost(-1, 2), "min-cover-atmost: d must be >= 0, got -1"),
         (lambda: MinCoverAtMost(2, -1), "min-cover-atmost: k must be >= 0, got -1"),
         (lambda: ConstructiveMatchesOracle(-2), "constructive-matches-oracle: d must be >= 0, got -2"),
@@ -742,6 +751,49 @@ def test_predicate_arguments_are_checked():
             make()
         assert str(info.value) == message
     assert MinCoverAtMost(0, 0).evaluate(build_graph(1, 2, [])) == (False, 1)
+
+
+CERTIFICATE_HOSTS = {
+    "c5": lambda: gen_antihole(2),
+    "k4": lambda: complete_host(4),
+    "k5": lambda: complete_host(5),
+    "p42": lambda: gen_p42(1),
+}
+
+
+@pytest.mark.parametrize("host_name", CERTIFICATE_HOSTS)
+def test_settled_prefixes_hold_on_every_completion(host_name):
+    # exhaustively over the 2-colorings: a prefix that a certificate settles
+    # has the certificate's verdict on each coloring that extends it
+    host = CERTIFICATE_HOSTS[host_name]()
+    pairs = sorted(host.edge_color)
+    m = len(pairs)
+    colorings = list(itertools.product((1, 2), repeat=m))
+    settled = 0
+    for predicate in itertools.chain.from_iterable(INVARIANT_INSTANCES.values()):
+        value = {colors: predicate.evaluate(apply_coloring(host, colors)) for colors in colorings}
+        for length in range(1, m):
+            for prefix in itertools.product((1, 2), repeat=length):
+                rows = build_graph(host.n, 2, [(u, v, c) for (u, v), c in zip(pairs, prefix)]).color_rows
+                verdict = predicate.settled(host.n, rows)
+                if verdict is not None:
+                    settled += 1
+                    for colors in colorings:
+                        if colors[:length] == prefix:
+                            assert value[colors] == verdict, (predicate.name, colors)
+    assert settled
+
+
+def test_only_certificates_settle():
+    # predicates without a certificate, and sample mode, evaluate every string
+    # they count: all 16 canonical 2-colorings of C5, or its 4 orbits
+    host = gen_antihole(2)
+    assert enumerate_colorings(host, 2, HasBoundsCover((3, 3))).settled > 0
+    for predicate, calls in ((Plain(HasBoundsCover((3, 3))), 16), (ConstructiveMatchesOracle(4), 16), (Trivial(), 4)):
+        report = enumerate_colorings(host, 2, predicate)
+        assert (report.settled, report.evaluations) == (0, calls), predicate.name
+    report = enumerate_colorings(host, 2, HasBoundsCover((3, 3)), mode="sample", samples=20)
+    assert report.settled == 0 and report.evaluations == 20
 
 
 def test_size_limit_fires_where_a_cheap_cover_exists(capsys, monkeypatch):
